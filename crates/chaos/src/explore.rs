@@ -27,15 +27,7 @@
 
 use serde::{Deserialize, Serialize};
 use wlm_core::manager::store::CorruptionKind;
-
-/// SplitMix64 step — the repo's standard seed-derivation primitive.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
+use wlm_core::splitmix64;
 
 /// One fault in a schedule. Times are deciseconds of simulated time so
 /// schedules stay integer-valued, totally ordered, and byte-stable

@@ -14,9 +14,10 @@
 //! [`WorkloadManager`] exactly one control cycle (down shards advance via
 //! [`WorkloadManager::tick_uncontrolled`] — the data plane outlives its
 //! controller), and (7) forwards completion feedback to the source
-//! through the exactly-once filter. Every step is deterministic, so an
-//! N-shard run is reproducible per seed down to byte-identical shard
-//! checkpoints — link faults and all.
+//! through the [`Ledger`](crate::ledger) — the one per-request book that
+//! decides which completion is a request's first. Every step is
+//! deterministic, so an N-shard run is reproducible per seed down to
+//! byte-identical shard checkpoints — link faults and all.
 //!
 //! Shard failure reuses the crash-tolerant control plane:
 //! [`FailoverPolicy::Reroute`] checkpoints the dying controller, moves its
@@ -35,26 +36,27 @@
 //! cancelled through the orphan-kill path ([`Cluster::report`] subtracts
 //! nothing twice — duplicate completions of a won race are counted in
 //! [`ClusterReport::duplicate_completions`] and excluded from
-//! [`ClusterReport::completed`]).
+//! [`ClusterReport::completed`]). The ledger keeps a request's entry until
+//! the last losing copy is cancelled and nothing after that.
 
 use crate::detector::{DetectorConfig, FailureDetector, ShardHealth};
 use crate::elastic::{Autoscaler, ElasticConfig, ScaleDecision, ShardStage};
-use crate::hedge::{CompletionVerdict, HedgeConfig, Hedger};
 use crate::inbox::{FeedbackBuffer, InboxSource};
+use crate::ledger::{Completion, HedgeConfig, Ledger};
 use crate::link::{LinkConfig, LinkLayer};
-use crate::routing::{affinity_key, splitmix64, RoutingPolicy};
+use crate::routing::{affinity_key, RoutingPolicy};
 use crate::snapshot::{ClusterSnapshot, ShardView};
 use crate::warm::WarmCache;
 use serde::Serialize;
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 use wlm_chaos::{FaultPlan, NetFault, NetFaultEvent};
 use wlm_core::api::WlmBuilder;
 use wlm_core::events::{EventBus, EventSubscriber, WlmEvent};
 use wlm_core::manager::store::{corrupt_bytes, open, seal, CorruptionKind};
 use wlm_core::manager::{ControllerState, RunReport, WorkloadManager};
-use wlm_core::Error;
+use wlm_core::{splitmix64, Error};
 use wlm_dbsim::engine::EngineFault;
 use wlm_dbsim::optimizer::CostModel;
 use wlm_dbsim::time::{SimDuration, SimTime};
@@ -98,6 +100,14 @@ impl Shard {
     fn alive(&self) -> bool {
         self.down_until.is_none()
     }
+}
+
+/// What becomes of a shard once [`Cluster::evacuate`] has moved its work.
+enum Vacated {
+    /// Its controller crashed and rejoins at `until`.
+    Down { until: SimTime },
+    /// The autoscaler retired it.
+    Retired,
 }
 
 /// A scheduled shard-controller outage.
@@ -374,7 +384,6 @@ impl ClusterBuilder {
         let detector = self
             .detector
             .map(|cfg| FailureDetector::new(cfg, self.shards, SimTime::ZERO));
-        let hedger = self.hedging.map(Hedger::new);
         // Without elasticity every shard is active for the whole run, so
         // the routable mask degenerates to plain liveness and a run is
         // byte-identical to the pre-elastic cluster.
@@ -407,19 +416,13 @@ impl ClusterBuilder {
             outages: Vec::new(),
             link,
             detector,
-            hedger,
-            accepted: BTreeMap::new(),
-            finished: BTreeSet::new(),
+            ledger: Ledger::new(self.hedging),
             held_feedback: BTreeMap::new(),
-            pending_cancels: BTreeMap::new(),
             net_schedule: Vec::new(),
             routed: 0,
             rerouted: 0,
             shed: 0,
-            reclaimed: 0,
-            hedged: 0,
             redelivered: 0,
-            dup_completions: 0,
             scale_ups: 0,
             scale_downs: 0,
             shard_us: 0,
@@ -464,39 +467,20 @@ pub struct Cluster {
     /// The simulated fabric; `None` means direct in-memory delivery.
     link: Option<LinkLayer>,
     detector: Option<FailureDetector>,
-    hedger: Option<Hedger>,
-    /// Requests a shard has accepted off the link but not yet completed:
-    /// `request -> (the request, shards holding a copy)`. This is the
-    /// hedging candidate set when a shard goes fully dark.
-    accepted: BTreeMap<RequestId, (Request, Vec<usize>)>,
-    /// Requests whose completion has already been forwarded to the
-    /// source. A fast query can finish before its delivery ack makes the
-    /// round trip; without this book the late ack would resurrect an
-    /// `accepted` entry and a later dead-shard hedge would re-dispatch —
-    /// and double-count — work that is long done.
-    finished: BTreeSet<RequestId>,
+    /// The one per-request book: every request from its first delivery
+    /// until its completion is forwarded and its losing copies are
+    /// cancelled, plus the exactly-once correction tallies.
+    ledger: Ledger,
     /// Completion feedback that surfaced on a partitioned shard — from
     /// the front-end's chair it does not exist yet. Flushed through the
-    /// exactly-once filter when the partition heals.
+    /// ledger when the partition heals.
     held_feedback: BTreeMap<usize, Vec<(RequestId, String, SimTime)>>,
-    /// Hedge-loser cancellations addressed to a partitioned shard,
-    /// applied at heal time.
-    pending_cancels: BTreeMap<usize, Vec<RequestId>>,
     /// Scheduled network-fabric faults, time-sorted, with applied flags.
     net_schedule: Vec<(NetFaultEvent, bool)>,
     routed: u64,
     rerouted: u64,
     shed: u64,
-    /// Orphan kills performed while stripping a crashed shard under
-    /// [`FailoverPolicy::Reroute`] or cancelling a hedge race's losing
-    /// copy. Their twins run to completion elsewhere, so these are
-    /// subtracted from the aggregate `killed` to keep cluster accounting
-    /// exactly-once.
-    reclaimed: u64,
-    hedged: u64,
     redelivered: u64,
-    /// Completions of already-won hedge races (absorbed, not forwarded).
-    dup_completions: u64,
     /// Shards spawned by the autoscaler.
     scale_ups: u64,
     /// Shards drained and retired by the autoscaler.
@@ -570,17 +554,17 @@ impl Cluster {
 
     /// Hedged re-dispatches issued so far.
     pub fn hedged(&self) -> u64 {
-        self.hedged
+        self.ledger.hedged
     }
 
     /// Completions of already-won hedge races absorbed so far.
     pub fn duplicate_completions(&self) -> u64 {
-        self.dup_completions
+        self.ledger.dup_completions
     }
 
     /// Hedged requests whose race has not been decided yet.
     pub fn open_hedge_races(&self) -> usize {
-        self.hedger.as_ref().map_or(0, Hedger::races_open)
+        self.ledger.races_open()
     }
 
     /// The shard's elastic lifecycle stage (always
@@ -802,18 +786,19 @@ impl Cluster {
     /// Build the aggregate end-of-run report at the current time.
     pub fn report(&self) -> ClusterReport {
         let shards: Vec<RunReport> = self.shards.iter().map(|s| s.mgr.report()).collect();
-        let completed: u64 = shards.iter().map(|r| r.completed).sum::<u64>() - self.dup_completions;
+        let completed: u64 =
+            shards.iter().map(|r| r.completed).sum::<u64>() - self.ledger.dup_completions;
         let elapsed = shards.first().map(|r| r.elapsed_secs).unwrap_or(0.0);
         ClusterReport {
             elapsed_secs: elapsed,
             completed,
-            killed: shards.iter().map(|r| r.killed).sum::<u64>() - self.reclaimed,
+            killed: shards.iter().map(|r| r.killed).sum::<u64>() - self.ledger.reclaimed,
             rejected: shards.iter().map(|r| r.rejected).sum(),
             routed: self.routed,
             rerouted: self.rerouted,
             shed: self.shed,
-            hedged: self.hedged,
-            duplicate_completions: self.dup_completions,
+            hedged: self.ledger.hedged,
+            duplicate_completions: self.ledger.dup_completions,
             delivered: self.link.as_ref().map_or(0, |l| l.delivered),
             link_dropped: self.link.as_ref().map_or(0, |l| l.dropped),
             redelivered: self.redelivered,
@@ -891,9 +876,8 @@ impl Cluster {
     }
 
     /// Heal a partition: reconnect the link, flush the completions that
-    /// surfaced inside the partition through the exactly-once filter, and
-    /// apply the hedge-loser cancellations that could not reach the shard
-    /// while it was cut off.
+    /// surfaced inside the partition through the ledger, and carry out
+    /// the hedge-loser cancellations the ledger still owes the shard.
     fn heal_partition(&mut self, shard: usize, now: SimTime, source: &mut dyn Source) {
         let was_partitioned = self.link.as_ref().is_some_and(|l| l.is_partitioned(shard));
         if let Some(link) = self.link.as_mut() {
@@ -904,13 +888,13 @@ impl Cluster {
         }
         let held = self.held_feedback.remove(&shard).unwrap_or_default();
         let flushed = held.len() as u64;
-        let dups_before = self.dup_completions;
+        let dups_before = self.ledger.dup_completions;
         for (request, label, at) in held {
             self.process_completion(shard, request, label, at, source);
         }
-        let duplicates = self.dup_completions - dups_before;
+        let duplicates = self.ledger.dup_completions - dups_before;
         let mut cancelled = 0u64;
-        for request in self.pending_cancels.remove(&shard).unwrap_or_default() {
+        for request in self.ledger.cancels_owed(shard) {
             if self.cancel_copy(shard, request) {
                 cancelled += 1;
             }
@@ -926,8 +910,8 @@ impl Cluster {
 
     /// Advance the link to `now` and absorb everything it surfaced:
     /// deliveries into shard inboxes (deduplicated by message id), acks
-    /// into the accepted-work books, round trips into the detector, and
-    /// losses into events.
+    /// into the ledger, round trips into the detector, and losses into
+    /// events.
     fn pump_link(&mut self, now: SimTime) {
         let Some(link) = self.link.as_mut() else {
             return;
@@ -965,15 +949,7 @@ impl Cluster {
             }
         }
         for (shard, req) in out.acked {
-            if self.hedger.is_some() && !self.finished.contains(&req.id) {
-                let entry = self
-                    .accepted
-                    .entry(req.id)
-                    .or_insert_with(|| (req.clone(), Vec::new()));
-                if !entry.1.contains(&shard) {
-                    entry.1.push(shard);
-                }
-            }
+            self.ledger.acked(shard, req);
         }
         if let Some(det) = self.detector.as_mut() {
             for (shard, rtt) in out.rtt_samples {
@@ -1006,7 +982,7 @@ impl Cluster {
                 score: *score,
             });
         }
-        if self.hedger.is_none() {
+        if !self.ledger.hedging() {
             return;
         }
         for (shard, health, _) in transitions {
@@ -1022,45 +998,33 @@ impl Cluster {
         }
     }
 
-    /// Hedge a suspected shard's in-flight work onto healthy peers.
+    /// Hedge a suspected shard's in-flight work onto a healthy peer.
     fn hedge_shard(&mut self, from: usize, now: SimTime, include_accepted: bool) {
+        let Some(to) = self.hedge_target(from) else {
+            return;
+        };
         let unacked = self
             .link
             .as_ref()
             .map(|l| l.unacked_to(from))
             .unwrap_or_default();
         for (msg, req) in unacked {
-            if self.finished.contains(&req.id)
-                || !self.hedger.as_ref().is_some_and(|h| h.may_hedge(req.id))
-            {
+            if !self.ledger.hedged(req.id, from, to) {
                 continue;
             }
-            let Some(target) = self.hedge_target(from) else {
-                continue;
-            };
             // Stop retransmitting toward the suspect; copies already in
-            // flight still count — dedup and the exactly-once filter
-            // absorb whichever side loses the race.
+            // flight still count — dedup and the ledger absorb whichever
+            // side loses the race.
             if let Some(link) = self.link.as_mut() {
                 link.abandon(msg);
             }
-            self.record_hedge(req, from, target, now);
+            self.send_hedge(req, from, to, now);
         }
         if include_accepted {
-            let candidates: Vec<Request> = self
-                .accepted
-                .values()
-                .filter(|(req, shards)| shards.contains(&from) && !self.finished.contains(&req.id))
-                .map(|(req, _)| req.clone())
-                .collect();
-            for req in candidates {
-                if !self.hedger.as_ref().is_some_and(|h| h.may_hedge(req.id)) {
-                    continue;
+            for req in self.ledger.acked_on(from) {
+                if self.ledger.hedged(req.id, from, to) {
+                    self.send_hedge(req, from, to, now);
                 }
-                let Some(target) = self.hedge_target(from) else {
-                    continue;
-                };
-                self.record_hedge(req, from, target, now);
             }
         }
     }
@@ -1085,12 +1049,8 @@ impl Cluster {
             .find(|&i| i != from && self.routable(i))
     }
 
-    /// Book and deliver one hedged copy.
-    fn record_hedge(&mut self, req: Request, from: usize, to: usize, now: SimTime) {
-        if let Some(h) = self.hedger.as_mut() {
-            h.record(req.id, from, to);
-        }
-        self.hedged += 1;
+    /// Announce and deliver one hedged copy the ledger has booked.
+    fn send_hedge(&mut self, req: Request, from: usize, to: usize, now: SimTime) {
         self.emit(WlmEvent::Hedged {
             at: now,
             request: req.id,
@@ -1101,9 +1061,9 @@ impl Cluster {
         self.deliver(to, req);
     }
 
-    /// Route one completion through the exactly-once filter: hold it if
-    /// its shard is partitioned, forward the first completion of each
-    /// request to the source, cancel hedge losers, absorb duplicates.
+    /// Route one completion through the ledger: hold it if its shard is
+    /// partitioned, forward the first completion of each request to the
+    /// source, cancel hedge losers, absorb duplicates.
     fn process_completion(
         &mut self,
         shard: usize,
@@ -1121,31 +1081,11 @@ impl Cluster {
         }
         // The choke point of exactly-once accounting: no matter which
         // path a completion arrives by (live drain, heal-time flush, a
-        // hedge race), a request already forwarded is a duplicate.
-        if self.finished.contains(&request) {
-            self.dup_completions += 1;
-            return;
-        }
-        let verdict = match self.hedger.as_mut() {
-            Some(h) => h.on_completion(request, shard),
-            None => CompletionVerdict::Untracked,
-        };
-        match verdict {
-            CompletionVerdict::Untracked => {
-                self.accepted.remove(&request);
-                self.finished.insert(request);
-                source.on_request_completion(request, &label, at);
-            }
-            CompletionVerdict::Winner { losers } => {
-                self.accepted.remove(&request);
-                self.finished.insert(request);
-                source.on_request_completion(request, &label, at);
-                for loser in losers {
-                    self.cancel_copy(loser, request);
-                }
-            }
-            CompletionVerdict::Duplicate => {
-                self.dup_completions += 1;
+        // hedge race), only a request's first one is forwarded.
+        if let Completion::Forward { cancel } = self.ledger.completed(request, shard) {
+            source.on_request_completion(request, &label, at);
+            for loser in cancel {
+                self.cancel_copy(loser, request);
             }
         }
     }
@@ -1153,13 +1093,14 @@ impl Cluster {
     /// Cancel the copy of `request` living on `shard` — on the wire, in
     /// the inbox, or inside the shard's controller (via checkpoint-strip
     /// and restore, whose reconciliation orphan-kills a running copy).
-    /// Returns whether a copy was actually found and removed; cancels to
-    /// a partitioned shard are parked and applied at heal.
+    /// Returns whether a copy was actually found and removed. A cancel
+    /// cannot reach a partitioned shard: the ledger keeps owing it and
+    /// [`Self::heal_partition`] comes back for it.
     fn cancel_copy(&mut self, shard: usize, request: RequestId) -> bool {
         if self.link.as_ref().is_some_and(|l| l.is_partitioned(shard)) {
-            self.pending_cancels.entry(shard).or_default().push(request);
             return false;
         }
+        self.ledger.copy_cancelled(request, shard);
         if let Some(link) = self.link.as_mut() {
             link.cancel_request(request, shard);
         }
@@ -1182,7 +1123,7 @@ impl Cluster {
         // That kill is housekeeping — the race's winner already surfaced —
         // so it is reclaimed out of the aggregate `killed`.
         let recovery = self.shards[shard].mgr.restore(&ckpt);
-        self.reclaimed += recovery.orphans_killed as u64;
+        self.ledger.reclaimed += recovery.orphans_killed as u64;
         true
     }
 
@@ -1200,6 +1141,7 @@ impl Cluster {
         match self.route_target(&req) {
             Ok(target) => {
                 self.routed += 1;
+                self.ledger.routed(req.id, target);
                 self.emit(WlmEvent::Routed {
                     at: self.now(),
                     request: req.id,
@@ -1386,7 +1328,7 @@ impl Cluster {
                     self.outages[idx].saved = Some(self.seal_shard_checkpoint(shard));
                     self.shards[shard].down_until = Some(until);
                 }
-                FailoverPolicy::Reroute => self.crash_and_reroute(shard, until),
+                FailoverPolicy::Reroute => self.evacuate(shard, now, Vacated::Down { until }),
             }
         }
         // WaitForRestart rejoin: restore the crash-time checkpoint. The
@@ -1411,7 +1353,7 @@ impl Cluster {
                             // not policy verdicts: the dead queries'
                             // requests simply never surface again.
                             let recovery = self.shards[shard].mgr.cold_restart();
-                            self.reclaimed += recovery.orphans_killed as u64;
+                            self.ledger.reclaimed += recovery.orphans_killed as u64;
                         }
                     }
                 }
@@ -1419,71 +1361,80 @@ impl Cluster {
         }
     }
 
-    /// [`FailoverPolicy::Reroute`] crash: checkpoint the dying controller,
-    /// move every queued and in-flight request to the survivors, and
-    /// restore a stripped checkpoint so the reconciliation orphan-kills
-    /// the dead shard's live engine queries (their moved twins run
-    /// elsewhere; nothing is lost, nothing completes twice).
-    fn crash_and_reroute(&mut self, shard: usize, until: SimTime) {
+    /// Move everything `shard` holds onto the survivors and take it out
+    /// of service — the one path behind a [`FailoverPolicy::Reroute`]
+    /// crash and an elastic retirement. Seal the controller's checkpoint
+    /// and read it back; collect the queued, deferred, running and
+    /// suspended requests it lists, the inbox and the link traffic no copy
+    /// of which was accepted yet (a retirement also takes the parked
+    /// retries: a crashed shard rejoins and releases them itself, a
+    /// retired controller never would); restore the stripped checkpoint so
+    /// the reconciliation orphan-kills what the engine was still running;
+    /// re-route every collected request and tell the ledger where its copy
+    /// went. Each moved request runs again elsewhere, none is lost.
+    ///
+    /// If the sealed image fails verification the controller's contents
+    /// are unrecoverable: only the work held outside the shard — inbox and
+    /// undelivered link traffic — can still move, and the shard restarts
+    /// cold. The rest is detectably lost (the conservation invariant the
+    /// explorer checks).
+    fn evacuate(&mut self, shard: usize, now: SimTime, then: Vacated) {
+        let retiring = matches!(then, Vacated::Retired);
         let sealed = self.seal_shard_checkpoint(shard);
+        let verified = self.open_shard_checkpoint(&sealed);
         let mut moved: Vec<Request> = Vec::new();
-        match self.open_shard_checkpoint(&sealed) {
+        if let Some(ckpt) = &verified {
+            moved.extend(ckpt.wait_queue.iter().map(|m| m.request.clone()));
+            moved.extend(ckpt.deferred.iter().map(|m| m.request.clone()));
+            moved.extend(ckpt.running.iter().map(|rc| rc.req.request.clone()));
+            moved.extend(ckpt.suspended.iter().map(|s| s.req.request.clone()));
+        }
+        moved.extend(self.shards[shard].inbox.drain_all());
+        // Accepted messages are already covered by the checkpoint sets or
+        // the inbox drain above.
+        if let Some(link) = self.link.as_mut() {
+            moved.extend(link.take_unaccepted(shard));
+        }
+        let recovery = match verified {
             Some(ckpt) => {
-                moved.extend(ckpt.wait_queue.iter().map(|m| m.request.clone()));
-                moved.extend(ckpt.deferred.iter().map(|m| m.request.clone()));
-                moved.extend(ckpt.running.iter().map(|rc| rc.req.request.clone()));
-                moved.extend(ckpt.suspended.iter().map(|s| s.req.request.clone()));
-                moved.extend(self.shards[shard].inbox.drain_all());
-                // Messages on the wire toward the crashed shard whose
-                // requests exist nowhere else move too; accepted ones are
-                // already covered by the checkpoint sets or the inbox
-                // drain above.
-                if let Some(link) = self.link.as_mut() {
-                    moved.extend(link.take_unaccepted(shard));
-                }
-                let stripped = ControllerState {
+                let mut stripped = ControllerState {
                     wait_queue: Vec::new(),
                     deferred: Vec::new(),
                     running: Vec::new(),
                     suspended: Vec::new(),
                     ..ckpt
                 };
-                // The stripped restore orphan-kills every engine query the
-                // dead shard was running. Those kills are resource
-                // reclamation — the moved twins finish on the survivors —
-                // so they are excluded from the cluster's aggregate
-                // `killed` count.
-                let recovery = self.shards[shard].mgr.restore(&stripped);
-                self.reclaimed += recovery.orphans_killed as u64;
-            }
-            None => {
-                // The crash-time image failed verification: the dead
-                // controller's queue contents are unrecoverable. Only the
-                // work held outside the shard — its inbox and undelivered
-                // link traffic — can still move; the rest is detectably
-                // lost (the conservation invariant the explorer checks).
-                moved.extend(self.shards[shard].inbox.drain_all());
-                if let Some(link) = self.link.as_mut() {
-                    moved.extend(link.take_unaccepted(shard));
+                if retiring {
+                    if let Some(res) = stripped.resilience.as_mut() {
+                        moved.extend(res.retry_queue.drain(..).map(|r| r.req.request));
+                    }
                 }
-                // Unlike the verified strip, these orphan kills have no
-                // moved twins: the dead queries' requests never surface
-                // again. Classing them as recovery reclaims (rather
-                // than policy kills) keeps that loss visible to the
-                // work-conservation check instead of laundering it
-                // through the kill books.
-                let recovery = self.shards[shard].mgr.cold_restart();
-                self.reclaimed += recovery.orphans_killed as u64;
+                self.shards[shard].mgr.restore(&stripped)
             }
+            None => self.shards[shard].mgr.cold_restart(),
+        };
+        // The orphan kills are housekeeping, not policy verdicts, so they
+        // stay out of the cluster's `killed`. After a verified strip the
+        // moved twins finish on the survivors; after a cold restart the
+        // dead queries have no twins and their requests never surface
+        // again — classing those kills as reclaims keeps that loss visible
+        // to the work-conservation check instead of laundering it through
+        // the kill books.
+        self.ledger.reclaimed += recovery.orphans_killed as u64;
+        match then {
+            Vacated::Down { until } => self.shards[shard].down_until = Some(until),
+            Vacated::Retired => self.stages[shard] = ShardStage::Retired,
         }
-        self.shards[shard].down_until = Some(until);
 
+        let mut rerouted = 0usize;
         for req in moved {
             match self.route_target(&req) {
                 Ok(target) => {
                     self.rerouted += 1;
+                    rerouted += 1;
+                    self.ledger.moved(req.id, target);
                     self.emit(WlmEvent::Rerouted {
-                        at: self.now(),
+                        at: now,
                         request: req.id,
                         workload: req.spec.label.clone(),
                         from_shard: shard,
@@ -1491,8 +1442,20 @@ impl Cluster {
                     });
                     self.deliver(target, req);
                 }
-                Err(_) => self.parked.push_back(req),
+                // No live shard: the request waits at the door and is
+                // routed afresh on the next rejoin. A settled request's
+                // leftover copy must not: the door would open a new entry
+                // for it and forward its completion a second time.
+                Err(_) if self.ledger.contains(req.id) => self.parked.push_back(req),
+                Err(_) => {}
             }
+        }
+        if retiring {
+            self.emit(WlmEvent::ShardRetired {
+                at: now,
+                shard,
+                rerouted,
+            });
         }
     }
 
@@ -1519,7 +1482,7 @@ impl Cluster {
                     // Early out the moment the shard is empty; otherwise
                     // the grace deadline force-moves the residue.
                     if (deadline <= now || self.shard_idle(i)) => {
-                        self.retire_now(i, now);
+                        self.evacuate(i, now, Vacated::Retired);
                     }
                 _ => {}
             }
@@ -1597,8 +1560,8 @@ impl Cluster {
     /// Whether a draining shard has nothing left anywhere the front-end
     /// can see: controller queues, engine, inbox, unacked link traffic.
     /// (Optimistic about suspended queries and parked retries — both are
-    /// invisible to the live snapshot — but that is safe: `retire_now`
-    /// moves them with the checkpoint-strip either way.)
+    /// invisible to the live snapshot — but that is safe: the retirement
+    /// evacuation moves them with the checkpoint-strip either way.)
     fn shard_idle(&self, i: usize) -> bool {
         let snap = self.shards[i].mgr.live_snapshot();
         snap.queued == 0
@@ -1609,81 +1572,6 @@ impl Cluster {
                 .link
                 .as_ref()
                 .is_none_or(|l| l.unacked_to(i).is_empty())
-    }
-
-    /// Retire a drained shard now: strip its checkpoint, move every
-    /// residual request — queued, deferred, running, suspended, parked
-    /// retries, inbox, undelivered link traffic — onto the survivors
-    /// through the crash path's exactly-once discipline, and take it out
-    /// of service. No request is lost; any copy the engine was still
-    /// running is orphan-killed while its moved twin finishes elsewhere.
-    fn retire_now(&mut self, shard: usize, now: SimTime) {
-        let sealed = self.seal_shard_checkpoint(shard);
-        let mut moved: Vec<Request> = Vec::new();
-        match self.open_shard_checkpoint(&sealed) {
-            Some(ckpt) => {
-                moved.extend(ckpt.wait_queue.iter().map(|m| m.request.clone()));
-                moved.extend(ckpt.deferred.iter().map(|m| m.request.clone()));
-                moved.extend(ckpt.running.iter().map(|rc| rc.req.request.clone()));
-                moved.extend(ckpt.suspended.iter().map(|s| s.req.request.clone()));
-                moved.extend(self.shards[shard].inbox.drain_all());
-                if let Some(link) = self.link.as_mut() {
-                    moved.extend(link.take_unaccepted(shard));
-                }
-                let mut stripped = ControllerState {
-                    wait_queue: Vec::new(),
-                    deferred: Vec::new(),
-                    running: Vec::new(),
-                    suspended: Vec::new(),
-                    ..ckpt
-                };
-                // Unlike a crash (where the shard rejoins and releases
-                // them itself), a retired controller would never release
-                // its parked retries — they move with everything else.
-                if let Some(res) = stripped.resilience.as_mut() {
-                    moved.extend(res.retry_queue.drain(..).map(|r| r.req.request));
-                }
-                let recovery = self.shards[shard].mgr.restore(&stripped);
-                self.reclaimed += recovery.orphans_killed as u64;
-            }
-            None => {
-                // Verification failed at retirement: the drained shard's
-                // residue (normally empty by now, but the grace deadline
-                // can force-retire a busy one) cannot be read back. Move
-                // what lives outside the controller and let the explorer's
-                // conservation check surface anything lost.
-                moved.extend(self.shards[shard].inbox.drain_all());
-                if let Some(link) = self.link.as_mut() {
-                    moved.extend(link.take_unaccepted(shard));
-                }
-                let recovery = self.shards[shard].mgr.cold_restart();
-                self.reclaimed += recovery.orphans_killed as u64;
-            }
-        }
-        self.stages[shard] = ShardStage::Retired;
-        let mut rerouted = 0usize;
-        for req in moved {
-            match self.route_target(&req) {
-                Ok(target) => {
-                    self.rerouted += 1;
-                    rerouted += 1;
-                    self.emit(WlmEvent::Rerouted {
-                        at: now,
-                        request: req.id,
-                        workload: req.spec.label.clone(),
-                        from_shard: shard,
-                        to_shard: target,
-                    });
-                    self.deliver(target, req);
-                }
-                Err(_) => self.parked.push_back(req),
-            }
-        }
-        self.emit(WlmEvent::ShardRetired {
-            at: now,
-            shard,
-            rerouted,
-        });
     }
 }
 
@@ -2147,6 +2035,132 @@ mod tests {
             "a caught torn write never reaches the read path"
         );
         assert!(report.completed > 0);
+    }
+
+    #[test]
+    fn reclaimed_orphan_kills_stay_out_of_killed_on_both_evacuation_outcomes() {
+        // The seam PR 7 closed: the orphan kills of an evacuation are
+        // housekeeping whether the strip image verified (the moved twins
+        // finish elsewhere) or not (cold restart; the work is lost, and
+        // must show as lost rather than as policy kills).
+        for corrupt in [false, true] {
+            let mut c = cluster(2, RoutingPolicy::RoundRobin);
+            c.schedule_outage(0, 1.0, 2.0).expect("valid shard");
+            if corrupt {
+                c.arm_checkpoint_fault(0, CorruptionKind::BitFlip)
+                    .expect("valid shard");
+            }
+            let mut src = OltpSource::new(4_000.0, 11);
+            let report = c.run(&mut src, SimDuration::from_secs(6));
+            assert_eq!(c.checkpoint_rejections(), u64::from(corrupt));
+            let raw_kills: u64 = report.shards.iter().map(|r| r.killed).sum();
+            assert!(raw_kills > 0, "the crash instant must find work running");
+            assert_eq!(c.ledger.reclaimed, raw_kills);
+            assert_eq!(
+                report.killed, 0,
+                "no execution controller is configured, so nothing was killed by policy"
+            );
+        }
+    }
+
+    /// Counts the completions the front-end forwards and stops arrivals at
+    /// `cutoff` so the tail of a run drains.
+    struct CountingSource {
+        inner: OltpSource,
+        cutoff: SimTime,
+        forwarded: u64,
+    }
+
+    impl Source for CountingSource {
+        fn poll(&mut self, from: SimTime, to: SimTime) -> Vec<Request> {
+            if from >= self.cutoff {
+                return Vec::new();
+            }
+            self.inner.poll(from, to.min(self.cutoff))
+        }
+
+        fn on_request_completion(&mut self, _request: RequestId, _label: &str, _at: SimTime) {
+            self.forwarded += 1;
+        }
+
+        fn label(&self) -> &str {
+            self.inner.label()
+        }
+    }
+
+    #[test]
+    fn ledger_stays_flat_across_100k_requests_through_a_lossy_hedging_fabric() {
+        let mut c = ClusterBuilder::new()
+            .shards(3)
+            .routing(RoutingPolicy::RoundRobin)
+            .shard_builder(Box::new(small_builder))
+            .link(LinkConfig {
+                delay_secs: 0.02,
+                jitter_secs: 0.01,
+                loss_p: 0.05,
+                dup_p: 0.05,
+                retransmit_secs: 0.3,
+                seed: 0xfab,
+            })
+            .failure_detector(DetectorConfig {
+                expected_rtt_secs: 0.05,
+                gray_score: 4.0,
+                recover_score: 2.0,
+                dead_silence_secs: 1.0,
+                ema_alpha: 0.4,
+            })
+            .hedged_redispatch(HedgeConfig::default())
+            .build()
+            .expect("valid configuration");
+        // Two straggler windows (hedge what is unacked) and a partition
+        // long enough for a dead verdict (hedge what was acked too; the
+        // losers' cancels stay owed until the heal).
+        for (at, shard) in [(5.0, 1), (25.0, 0)] {
+            for (at, delay_factor) in [(at, 100.0), (at + 3.0, 1.0)] {
+                c.schedule_net_fault(
+                    at,
+                    NetFault::GrayShard {
+                        shard,
+                        delay_factor,
+                    },
+                )
+                .expect("valid fault");
+            }
+        }
+        for (at, active) in [(15.0, true), (18.0, false)] {
+            c.schedule_net_fault(at, NetFault::Partition { shard: 2, active })
+                .expect("valid fault");
+        }
+        let mut src = CountingSource {
+            inner: OltpSource::new(2_600.0, 5),
+            cutoff: SimTime::ZERO + SimDuration::from_secs(40),
+            forwarded: 0,
+        };
+        let (mut peak, mut owed_seen) = (0, false);
+        let deadline = c.now() + SimDuration::from_secs(50);
+        while c.now() < deadline {
+            c.tick(&mut src);
+            // Exactly the requests in flight, plus the won races whose
+            // loser sits behind the partition — never the run's history.
+            let owed = c.ledger.cancels_owed(2).len();
+            assert_eq!(
+                c.ledger.len() as u64,
+                c.routed() - src.forwarded + owed as u64,
+                "at {:?}",
+                c.now()
+            );
+            peak = peak.max(c.ledger.len());
+            owed_seen |= owed > 0;
+        }
+        assert!(c.routed() >= 100_000, "routed {}", c.routed());
+        assert!(c.hedged() > 100 && c.duplicate_completions() > 0 && owed_seen);
+        assert!(
+            peak < 5_000,
+            "peak {peak} entries for {} requests",
+            c.routed()
+        );
+        assert_eq!(src.forwarded, c.routed(), "every request completed once");
+        assert_eq!(c.ledger.len(), 0, "nothing outlives its request");
     }
 
     #[test]

@@ -49,8 +49,8 @@
 pub mod cluster;
 pub mod detector;
 pub mod elastic;
-pub mod hedge;
 pub mod inbox;
+pub mod ledger;
 pub mod link;
 pub mod routing;
 pub mod snapshot;
@@ -59,8 +59,8 @@ pub mod warm;
 pub use cluster::{Cluster, ClusterBuilder, ClusterReport, FailoverPolicy};
 pub use detector::{DetectorConfig, ShardHealth};
 pub use elastic::{Autoscaler, ElasticConfig, ScaleDecision, ShardStage};
-pub use hedge::HedgeConfig;
 pub use inbox::InboxSource;
+pub use ledger::HedgeConfig;
 pub use link::{LinkConfig, MsgId};
 pub use routing::RoutingPolicy;
 pub use snapshot::{ClusterSnapshot, ShardView};

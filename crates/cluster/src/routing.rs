@@ -45,15 +45,6 @@ impl RoutingPolicy {
     }
 }
 
-/// SplitMix64 finalizer: a cheap, deterministic 64-bit mix with good
-/// avalanche behaviour — the affinity router's hash.
-pub(crate) fn splitmix64(seed: u64) -> u64 {
-    let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// The affinity key of a request: its partition key when the workload is
 /// partitionable, otherwise a hash of its workload label (so scatter work
 /// still spreads deterministically instead of piling on shard 0).
@@ -75,6 +66,7 @@ pub(crate) fn affinity_key(req: &Request) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wlm_core::splitmix64;
 
     #[test]
     fn splitmix_is_deterministic_and_spreads() {

@@ -55,3 +55,13 @@ pub use api::{
 pub use error::Error;
 pub use manager::{ManagerConfig, RunReport, WorkloadManager};
 pub use taxonomy::{Classified, TaxonomyPath, TechniqueClass, TechniqueInfo};
+
+/// SplitMix64 finalizer: a cheap, deterministic 64-bit mix with good
+/// avalanche behaviour — the workspace's one hash for seeded draws, seed
+/// derivation and affinity routing.
+pub fn splitmix64(seed: u64) -> u64 {
+    let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}

@@ -224,15 +224,6 @@ pub struct WorkloadManager {
 }
 
 impl WorkloadManager {
-    /// New manager from a raw [`ManagerConfig`].
-    #[deprecated(
-        since = "0.1.0",
-        note = "assemble managers through `wlm_core::api::WlmBuilder` instead"
-    )]
-    pub fn new(config: ManagerConfig) -> Self {
-        Self::from_config(config)
-    }
-
     /// New manager with pass-through defaults: label-based identification,
     /// admit-all, FCFS at effectively unlimited MPL, no execution control —
     /// i.e. an unmanaged system. [`crate::api::WlmBuilder`] validates its

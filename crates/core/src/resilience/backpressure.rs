@@ -21,6 +21,7 @@
 //! decided by a deterministic per-request hash, so a run is byte-identical
 //! for a given seed regardless of wall-clock scheduling.
 
+use crate::splitmix64;
 use serde::{Deserialize, Serialize};
 use wlm_workload::request::RequestId;
 
@@ -187,14 +188,6 @@ pub struct BackpressureCheckpoint {
     pub tighten_steps: u64,
     /// Fresh arrivals shed at the door so far.
     pub sheds: u64,
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

@@ -7,6 +7,7 @@
 //! with a fixed seed replays byte-identically, which the chaos determinism
 //! tests rely on.
 
+use crate::splitmix64;
 use serde::Serialize;
 use wlm_dbsim::time::SimDuration;
 use wlm_workload::request::RequestId;
@@ -58,19 +59,12 @@ impl RetryPolicy {
         let raw = self.base_backoff_secs * self.multiplier.powi(exp as i32);
         let capped = raw.min(self.max_backoff_secs).max(0.0);
         // Map a mixed hash into [1 - jitter, 1 + jitter].
-        let h = mix64(seed ^ request.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ u64::from(attempt));
+        let h =
+            splitmix64(seed ^ request.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ u64::from(attempt));
         let unit = (h >> 11) as f64 / (1u64 << 53) as f64; // [0, 1)
         let jitter = 1.0 + self.jitter_frac.clamp(0.0, 1.0) * (2.0 * unit - 1.0);
         SimDuration::from_secs_f64((capped * jitter).max(0.0))
     }
-}
-
-/// SplitMix64 finalizer: a cheap, high-quality 64-bit mixer.
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 #[cfg(test)]

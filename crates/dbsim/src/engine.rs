@@ -400,7 +400,6 @@ pub struct DbEngine {
     live: BTreeMap<QueryId, QueryRuntime>,
     locks: LockTable,
     metrics: EngineMetrics,
-    completions: Vec<Completion>,
     events_enabled: bool,
     events: Vec<EngineEvent>,
     faults: FaultState,
@@ -417,7 +416,6 @@ impl DbEngine {
             live: BTreeMap::new(),
             locks: LockTable::new(),
             metrics,
-            completions: Vec::new(),
             events_enabled: false,
             events: Vec::new(),
             faults: FaultState::default(),
@@ -632,16 +630,6 @@ impl DbEngine {
         &self.metrics
     }
 
-    /// All completions so far, in completion order.
-    pub fn completions(&self) -> &[Completion] {
-        &self.completions
-    }
-
-    /// Completions recorded after index `from` (for incremental observers).
-    pub fn completions_since(&self, from: usize) -> &[Completion] {
-        &self.completions[from.min(self.completions.len())..]
-    }
-
     /// Cancel a running query, releasing its locks and memory immediately.
     pub fn kill(&mut self, id: QueryId) -> Result<Completion, EngineError> {
         let rt = self.live.remove(&id).ok_or(EngineError::UnknownQuery(id))?;
@@ -657,7 +645,6 @@ impl DbEngine {
             work_done_us: rt.work_done(),
         };
         self.metrics.record_kill();
-        self.completions.push(completion.clone());
         self.push_event(EngineEvent::Killed { at: self.now, id });
         Ok(completion)
     }
@@ -1021,7 +1008,6 @@ impl DbEngine {
             self.locks.release_all(c.id.0);
             self.metrics.record_completion(c.response);
         }
-        self.completions.extend(completed.iter().cloned());
 
         // Phase 6: metrics. Report *busy* time including paging overhead so
         // a thrashing system shows saturated resources with falling
@@ -1341,6 +1327,37 @@ mod tests {
         let ra = done.iter().find(|c| c.id == a).unwrap().response;
         let rb = done.iter().find(|c| c.id == b).unwrap().response;
         assert!(rb > ra, "blocked writer must finish after the holder");
+    }
+
+    #[test]
+    fn lock_table_is_empty_after_a_multi_key_closed_population_run() {
+        // 16 terminals, each resubmitting a 3-key update on 8 hot keys the
+        // moment its last one finishes: transactions block on one key,
+        // get it, then block on the next — the pattern that used to leave
+        // stale entries in the wait queues for good.
+        let mut e = small_engine();
+        let txn = |n: u64| {
+            PlanBuilder::utility(0.02, 0)
+                .build()
+                .into_spec()
+                .with_write_keys(vec![n % 8, (n * 3 + 1) % 8, (n * 5 + 2) % 8])
+        };
+        let mut issued = 16u64;
+        for n in 0..issued {
+            e.submit(txn(n));
+        }
+        let mut blocked_seen = 0;
+        for _ in 0..20_000 {
+            blocked_seen += e.blocked_count();
+            for _ in e.step() {
+                e.submit(txn(issued));
+                issued += 1;
+            }
+        }
+        assert!(issued > 500 && blocked_seen > 1_000, "the run must contend");
+        e.drain(100_000);
+        assert_eq!(e.mpl(), 0);
+        assert!(e.locks.is_empty(), "{:?}", e.locks);
     }
 
     #[test]

@@ -32,10 +32,11 @@
 //! let mut engine = DbEngine::new(EngineConfig::default());
 //! let plan = PlanBuilder::table_scan(10_000).filter(0.5).build();
 //! let id = engine.submit(plan.into_spec());
+//! let mut completions = Vec::new();
 //! while engine.is_running(id) {
-//!     engine.step();
+//!     completions.extend(engine.step());
 //! }
-//! assert_eq!(engine.completions().len(), 1);
+//! assert_eq!(completions.len(), 1);
 //! ```
 
 pub mod bufferpool;

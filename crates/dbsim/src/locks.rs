@@ -8,7 +8,7 @@
 //! (locks held by all transactions ÷ locks held by active transactions)
 //! signals data-contention thrashing.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Identifies a lock-holding transaction (the engine uses its query ids).
 pub type TxnId = u64;
@@ -30,8 +30,6 @@ pub enum LockOutcome {
 pub struct LockTable {
     /// key -> owner
     held: BTreeMap<u64, TxnId>,
-    /// key -> FIFO of waiting transactions
-    waiters: BTreeMap<u64, VecDeque<TxnId>>,
     /// txn -> keys it holds (ascending)
     owned: BTreeMap<TxnId, Vec<u64>>,
     /// txn -> key it is blocked on
@@ -46,8 +44,10 @@ impl LockTable {
 
     /// Attempt to extend `txn`'s holdings to the first `target` keys of
     /// `keys_sorted` (which must be ascending and deduplicated). Keys
-    /// already held are skipped. On conflict the transaction is queued on
-    /// the contended key and `Blocked` is returned.
+    /// already held are skipped. On conflict the transaction is recorded as
+    /// blocked on the contended key and `Blocked` is returned; it gets the
+    /// key by asking again once the holder has released it (the engine
+    /// retries every blocked query each quantum, in id order).
     pub fn acquire_up_to(&mut self, txn: TxnId, keys_sorted: &[u64], target: usize) -> LockOutcome {
         debug_assert!(
             keys_sorted.windows(2).all(|w| w[0] < w[1]),
@@ -59,11 +59,6 @@ impl LockTable {
         for &key in &keys_sorted[already..target] {
             match self.held.get(&key) {
                 Some(&owner) if owner != txn => {
-                    // Register as waiter (once) and report blocked.
-                    let q = self.waiters.entry(key).or_default();
-                    if !q.contains(&txn) {
-                        q.push_back(txn);
-                    }
                     self.blocked.insert(txn, key);
                     return LockOutcome::Blocked(key);
                 }
@@ -74,43 +69,22 @@ impl LockTable {
                 }
             }
         }
-        self.clear_blocked(txn);
+        self.blocked.remove(&txn);
         LockOutcome::Granted
     }
 
     /// Release everything `txn` holds or waits for (commit, abort or kill).
-    /// Returns the transactions that were waiting on a freed key and may now
-    /// retry acquisition.
-    pub fn release_all(&mut self, txn: TxnId) -> Vec<TxnId> {
-        self.clear_blocked(txn);
-        let mut wake = Vec::new();
-        if let Some(keys) = self.owned.remove(&txn) {
-            for key in keys {
-                self.held.remove(&key);
-                if let Some(q) = self.waiters.get_mut(&key) {
-                    if let Some(&head) = q.front() {
-                        wake.push(head);
-                    }
-                    if q.is_empty() {
-                        self.waiters.remove(&key);
-                    }
-                }
-            }
+    pub fn release_all(&mut self, txn: TxnId) {
+        self.blocked.remove(&txn);
+        for key in self.owned.remove(&txn).unwrap_or_default() {
+            self.held.remove(&key);
         }
-        wake.sort_unstable();
-        wake.dedup();
-        wake
     }
 
-    fn clear_blocked(&mut self, txn: TxnId) {
-        if let Some(key) = self.blocked.remove(&txn) {
-            if let Some(q) = self.waiters.get_mut(&key) {
-                q.retain(|t| *t != txn);
-                if q.is_empty() {
-                    self.waiters.remove(&key);
-                }
-            }
-        }
+    /// Whether the table holds nothing for any transaction.
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
+        self.held.is_empty() && self.owned.is_empty() && self.blocked.is_empty()
     }
 
     /// Whether `txn` is currently blocked, and on which key.
@@ -173,14 +147,13 @@ mod tests {
     }
 
     #[test]
-    fn conflict_blocks_and_release_wakes() {
+    fn conflict_blocks_until_the_holder_releases() {
         let mut lt = LockTable::new();
         assert_eq!(lt.acquire_up_to(1, &[5], 1), LockOutcome::Granted);
         assert_eq!(lt.acquire_up_to(2, &[5, 9], 2), LockOutcome::Blocked(5));
         assert_eq!(lt.blocked_on(2), Some(5));
         assert_eq!(lt.blocked_count(), 1);
-        let wake = lt.release_all(1);
-        assert_eq!(wake, vec![2]);
+        lt.release_all(1);
         assert_eq!(lt.acquire_up_to(2, &[5, 9], 2), LockOutcome::Granted);
         assert_eq!(lt.blocked_on(2), None);
     }
@@ -211,27 +184,36 @@ mod tests {
     }
 
     #[test]
-    fn release_clears_wait_queue_membership() {
+    fn a_killed_waiter_leaves_nothing_behind() {
         let mut lt = LockTable::new();
         lt.acquire_up_to(1, &[7], 1);
         lt.acquire_up_to(2, &[7], 1);
         lt.acquire_up_to(3, &[7], 1);
-        // Kill waiter 2; it must vanish from the queue.
         lt.release_all(2);
-        let wake = lt.release_all(1);
-        assert_eq!(wake, vec![3]);
+        assert_eq!(lt.blocked_on(2), None);
+        assert_eq!(lt.blocked_count(), 1);
+        lt.release_all(1);
         assert_eq!(lt.acquire_up_to(3, &[7], 1), LockOutcome::Granted);
+        lt.release_all(3);
+        assert!(lt.is_empty());
     }
 
     #[test]
-    fn fifo_wake_order() {
+    fn blocking_on_one_key_then_another_leaves_nothing_behind() {
+        // Benchmark finding 1: a transaction that blocked on key 1, got
+        // it, and then blocked on key 2 used to stay queued on key 1 for
+        // the rest of the run.
         let mut lt = LockTable::new();
-        lt.acquire_up_to(1, &[7], 1);
-        lt.acquire_up_to(5, &[7], 1);
-        lt.acquire_up_to(2, &[7], 1);
-        let wake = lt.release_all(1);
-        // Only the queue head is woken.
-        assert_eq!(wake, vec![5]);
+        lt.acquire_up_to(1, &[1], 1);
+        lt.acquire_up_to(2, &[2], 1);
+        assert_eq!(lt.acquire_up_to(3, &[1, 2], 2), LockOutcome::Blocked(1));
+        lt.release_all(1);
+        assert_eq!(lt.acquire_up_to(3, &[1, 2], 2), LockOutcome::Blocked(2));
+        assert_eq!(lt.blocked_on(3), Some(2));
+        lt.release_all(2);
+        assert_eq!(lt.acquire_up_to(3, &[1, 2], 2), LockOutcome::Granted);
+        lt.release_all(3);
+        assert!(lt.is_empty());
     }
 
     #[test]
@@ -243,8 +225,7 @@ mod tests {
         assert_eq!(lt.acquire_up_to(1, &[1, 2], 1), LockOutcome::Granted);
         assert_eq!(lt.acquire_up_to(2, &[2, 3], 2), LockOutcome::Granted);
         assert_eq!(lt.acquire_up_to(1, &[1, 2], 2), LockOutcome::Blocked(2));
-        let wake = lt.release_all(2);
-        assert_eq!(wake, vec![1]);
+        lt.release_all(2);
         assert_eq!(lt.acquire_up_to(1, &[1, 2], 2), LockOutcome::Granted);
     }
 }

@@ -108,7 +108,6 @@ pub struct EngineMetrics {
     pub interval: SimDuration,
     closed: Vec<IntervalStats>,
     current: IntervalStats,
-    responses_secs: Vec<f64>,
 }
 
 impl EngineMetrics {
@@ -118,7 +117,6 @@ impl EngineMetrics {
             interval,
             closed: Vec::new(),
             current: IntervalStats::default(),
-            responses_secs: Vec::new(),
         }
     }
 
@@ -126,7 +124,6 @@ impl EngineMetrics {
     pub fn record_completion(&mut self, response: SimDuration) {
         self.current.completed += 1;
         self.current.resp_sum_us += response.as_micros();
-        self.responses_secs.push(response.as_secs_f64());
     }
 
     /// Record a killed query.
@@ -173,16 +170,6 @@ impl EngineMetrics {
             return 0.0;
         }
         self.closed[self.closed.len() - 2].throughput(self.interval)
-    }
-
-    /// Summary of all recorded response times.
-    pub fn response_summary(&self) -> SummaryStats {
-        summarize(&self.responses_secs)
-    }
-
-    /// All response-time samples, seconds, in completion order.
-    pub fn responses_secs(&self) -> &[f64] {
-        &self.responses_secs
     }
 
     /// Mean CPU utilization over the last `n` closed intervals.

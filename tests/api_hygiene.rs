@@ -1,7 +1,7 @@
 //! Source-level enforcement of the `WlmBuilder` facade: outside `wlm-core`
 //! (where `ManagerConfig` lives as the internal representation), nothing
-//! may construct a `ManagerConfig` struct literal or call the deprecated
-//! `WorkloadManager::new`. Everything builds through the typed facade.
+//! may construct a `ManagerConfig` struct literal. Everything builds through
+//! the typed facade (`WorkloadManager` has no public constructor).
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -39,7 +39,6 @@ fn manager_config_literals_only_exist_inside_wlm_core() {
         let banned = [
             concat!("ManagerConfig", " {"),
             concat!("ManagerConfig", "::default()"),
-            concat!("WorkloadManager", "::new("),
         ];
         for (i, line) in text.lines().enumerate() {
             if banned.iter().any(|b| line.contains(b)) {
