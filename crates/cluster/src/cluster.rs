@@ -1091,8 +1091,8 @@ impl Cluster {
     }
 
     /// Cancel the copy of `request` living on `shard` — on the wire, in
-    /// the inbox, or inside the shard's controller (via checkpoint-strip
-    /// and restore, whose reconciliation orphan-kills a running copy).
+    /// the inbox, or inside the shard's controller
+    /// ([`WorkloadManager::cancel`], which kills a running copy).
     /// Returns whether a copy was actually found and removed. A cancel
     /// cannot reach a partitioned shard: the ledger keeps owing it and
     /// [`Self::heal_partition`] comes back for it.
@@ -1107,23 +1107,13 @@ impl Cluster {
         if self.shards[shard].inbox.remove(request) {
             return true;
         }
-        let mut ckpt = self.shards[shard].mgr.checkpoint();
-        let before =
-            ckpt.wait_queue.len() + ckpt.deferred.len() + ckpt.running.len() + ckpt.suspended.len();
-        ckpt.wait_queue.retain(|m| m.request.id != request);
-        ckpt.deferred.retain(|m| m.request.id != request);
-        ckpt.running.retain(|rc| rc.req.request.id != request);
-        ckpt.suspended.retain(|s| s.req.request.id != request);
-        let after =
-            ckpt.wait_queue.len() + ckpt.deferred.len() + ckpt.running.len() + ckpt.suspended.len();
-        if after == before {
+        let Some(cancelled) = self.shards[shard].mgr.cancel(request) else {
             return false;
-        }
-        // Restoring the stripped checkpoint orphan-kills a running copy.
-        // That kill is housekeeping — the race's winner already surfaced —
-        // so it is reclaimed out of the aggregate `killed`.
-        let recovery = self.shards[shard].mgr.restore(&ckpt);
-        self.ledger.reclaimed += recovery.orphans_killed as u64;
+        };
+        // Killing a running copy is housekeeping — the race's winner
+        // already surfaced — so it is reclaimed out of the aggregate
+        // `killed`.
+        self.ledger.reclaimed += cancelled.killed_running as u64;
         true
     }
 
@@ -1268,8 +1258,7 @@ impl Cluster {
     /// faults (bit flip, truncation) land after the swap and survive
     /// into the returned bytes.
     fn seal_shard_checkpoint(&mut self, shard: usize) -> Vec<u8> {
-        let state = self.shards[shard].mgr.checkpoint();
-        let payload = state.to_bytes();
+        let (state, payload) = self.shards[shard].mgr.checkpoint_bytes();
         let mut sealed = seal(&payload, 0, state.cycle);
         match self.armed_ckpt_faults.remove(&shard) {
             Some(CorruptionKind::TornWrite) => {
@@ -2063,12 +2052,25 @@ mod tests {
         }
     }
 
-    /// Counts the completions the front-end forwards and stops arrivals at
-    /// `cutoff` so the tail of a run drains.
+    /// Counts the requests issued and the completions the front-end
+    /// forwards, and stops arrivals at `cutoff` so the tail of a run
+    /// drains.
     struct CountingSource {
         inner: OltpSource,
         cutoff: SimTime,
+        issued: u64,
         forwarded: u64,
+    }
+
+    impl CountingSource {
+        fn new(inner: OltpSource, cutoff_secs: u64) -> Self {
+            CountingSource {
+                inner,
+                cutoff: SimTime::ZERO + SimDuration::from_secs(cutoff_secs),
+                issued: 0,
+                forwarded: 0,
+            }
+        }
     }
 
     impl Source for CountingSource {
@@ -2076,7 +2078,9 @@ mod tests {
             if from >= self.cutoff {
                 return Vec::new();
             }
-            self.inner.poll(from, to.min(self.cutoff))
+            let arrivals = self.inner.poll(from, to.min(self.cutoff));
+            self.issued += arrivals.len() as u64;
+            arrivals
         }
 
         fn on_request_completion(&mut self, _request: RequestId, _label: &str, _at: SimTime) {
@@ -2131,11 +2135,7 @@ mod tests {
             c.schedule_net_fault(at, NetFault::Partition { shard: 2, active })
                 .expect("valid fault");
         }
-        let mut src = CountingSource {
-            inner: OltpSource::new(2_600.0, 5),
-            cutoff: SimTime::ZERO + SimDuration::from_secs(40),
-            forwarded: 0,
-        };
+        let mut src = CountingSource::new(OltpSource::new(2_600.0, 5), 40);
         let (mut peak, mut owed_seen) = (0, false);
         let deadline = c.now() + SimDuration::from_secs(50);
         while c.now() < deadline {
@@ -2161,6 +2161,94 @@ mod tests {
         );
         assert_eq!(src.forwarded, c.routed(), "every request completed once");
         assert_eq!(c.ledger.len(), 0, "nothing outlives its request");
+    }
+
+    /// Four shards behind a lossy link with the default detector and
+    /// hedging on.
+    fn hedging_cluster(seed: u64) -> Cluster {
+        ClusterBuilder::new()
+            .shards(4)
+            .routing(RoutingPolicy::RoundRobin)
+            .shard_builder(Box::new(small_builder))
+            .link(LinkConfig {
+                delay_secs: 0.01,
+                jitter_secs: 0.005,
+                loss_p: 0.02,
+                dup_p: 0.01,
+                retransmit_secs: 0.3,
+                seed,
+            })
+            .failure_detector(DetectorConfig::default())
+            .hedged_redispatch(HedgeConfig::default())
+            .build()
+            .expect("valid configuration")
+    }
+
+    #[test]
+    fn hedge_loser_cancels_take_no_checkpoint_and_restore_nothing() {
+        // Every bus built while the ring is installed feeds it: the
+        // front-end's and all four shards'.
+        let trace = wlm_core::events::install_thread_trace(1 << 20);
+        let mut c = hedging_cluster(0xca);
+        wlm_core::events::clear_thread_trace();
+        for (at, delay_factor) in [(2.0, 40.0), (4.0, 1.0)] {
+            c.schedule_net_fault(
+                at,
+                NetFault::GrayShard {
+                    shard: 1,
+                    delay_factor,
+                },
+            )
+            .expect("valid fault");
+        }
+        let mut src = CountingSource::new(OltpSource::new(1_500.0, 9), 6);
+        c.run(&mut src, SimDuration::from_secs(8));
+        assert_eq!(trace.dropped(), 0, "the ring must hold the whole run");
+        let events = trace.events();
+        let count = |pick: fn(&WlmEvent) -> bool| events.iter().filter(|e| pick(e)).count() as u64;
+        let cancel_kills = count(|e| matches!(e, WlmEvent::Killed { by: "cancel", .. }));
+        assert!(c.hedged() > 100, "hedged {}", c.hedged());
+        assert!(c.duplicate_completions() > 0);
+        assert!(cancel_kills > 0, "a losing copy must be caught running");
+        assert_eq!(
+            c.ledger.reclaimed, cancel_kills,
+            "nothing but cancels reclaims work in a run without outages"
+        );
+        // A cancel is not a recovery: no shard took a checkpoint and no
+        // controller was restored, however many losers were cancelled.
+        assert_eq!(count(|e| matches!(e, WlmEvent::CheckpointTaken { .. })), 0);
+        assert_eq!(
+            count(|e| matches!(e, WlmEvent::ControllerRestored { .. })),
+            0
+        );
+        assert_eq!(src.forwarded, src.issued, "every request completed once");
+    }
+
+    #[test]
+    fn two_second_partition_heals_and_accounts_for_every_request() {
+        // Benchmark finding 2: silence as long as the default dead verdict
+        // piles up a thousand unacknowledged requests, every one is hedged
+        // at the verdict, and every hedge ends in a cancel — most of them
+        // for a copy that never left the wire, which used to cost a whole
+        // controller checkpoint each just to find nothing.
+        for seed in [3, 17, 20_261_002] {
+            let mut c = hedging_cluster(seed);
+            for (at, active) in [(2.0, true), (4.0, false)] {
+                c.schedule_net_fault(at, NetFault::Partition { shard: 2, active })
+                    .expect("valid fault");
+            }
+            let mut src = CountingSource::new(OltpSource::new(2_000.0, seed), 6);
+            let report = c.run(&mut src, SimDuration::from_secs(10));
+            assert!(report.hedged > 500, "seed {seed}: hedged {}", report.hedged);
+            assert_eq!(c.open_hedge_races(), 0, "seed {seed}");
+            assert_eq!(c.ledger.len(), 0, "seed {seed}: every cancel carried out");
+            assert_eq!(
+                report.completed + report.killed + report.rejected + report.shed,
+                src.issued,
+                "seed {seed}: {report:?}"
+            );
+            assert_eq!(src.forwarded, src.issued, "seed {seed}");
+        }
     }
 
     #[test]

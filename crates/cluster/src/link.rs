@@ -156,6 +156,26 @@ pub(crate) struct LinkLayer {
     pub retransmits: u64,
 }
 
+impl ShardLink {
+    /// Draw one one-way trip starting at `now`.
+    fn one_way(&mut self, cfg: &LinkConfig, now: SimTime) -> SimTime {
+        let mut secs = cfg.delay_secs * self.delay_factor;
+        if cfg.jitter_secs > 0.0 {
+            secs += self.rng.gen::<f64>() * cfg.jitter_secs * self.delay_factor;
+        }
+        now + SimDuration::from_secs_f64(secs)
+    }
+
+    /// Roll the forward path for one copy: `true` if it survives.
+    fn forward_survives(&mut self, cfg: &LinkConfig) -> bool {
+        if self.partitioned {
+            return false;
+        }
+        let loss = self.loss_override.unwrap_or(cfg.loss_p);
+        !(loss > 0.0 && self.rng.gen::<f64>() < loss)
+    }
+}
+
 impl LinkLayer {
     pub(crate) fn new(cfg: LinkConfig, shards: usize) -> Self {
         let shard_links = (0..shards)
@@ -195,21 +215,19 @@ impl LinkLayer {
         if !active {
             return;
         }
-        let swallowed: Vec<_> = self
-            .deliveries
-            .iter()
-            .filter(|(_, d)| d.shard == shard)
-            .map(|(k, _)| *k)
-            .collect();
-        for key in swallowed {
-            let d = self.deliveries.remove(&key).expect("key just listed");
-            self.dropped += 1;
-            self.drop_log.push(Drop {
+        let (dropped, drop_log) = (&mut self.dropped, &mut self.drop_log);
+        self.deliveries.retain(|_, d| {
+            if d.shard != shard {
+                return true;
+            }
+            *dropped += 1;
+            drop_log.push(Drop {
                 request: d.req.id,
                 workload: d.req.spec.label.clone(),
                 shard,
             });
-        }
+            false
+        });
         self.acks.retain(|_, (_, s, _)| *s != shard);
         self.pongs.retain(|_, (s, _)| *s != shard);
     }
@@ -226,68 +244,41 @@ impl LinkLayer {
         self.shards[shard].loss_override = loss_p;
     }
 
-    fn one_way(&mut self, shard: usize, now: SimTime) -> SimTime {
-        let s = &mut self.shards[shard];
-        let mut secs = self.cfg.delay_secs * s.delay_factor;
-        if self.cfg.jitter_secs > 0.0 {
-            secs += s.rng.gen::<f64>() * self.cfg.jitter_secs * s.delay_factor;
-        }
-        now + SimDuration::from_secs_f64(secs)
-    }
-
     fn next_key(&mut self, at: SimTime) -> (SimTime, u64) {
         self.seq += 1;
         (at, self.seq)
     }
 
-    /// Roll the forward path for one copy: `true` if it survives.
-    fn forward_survives(&mut self, shard: usize) -> bool {
-        let s = &mut self.shards[shard];
-        if s.partitioned {
-            return false;
-        }
-        let loss = s.loss_override.unwrap_or(self.cfg.loss_p);
-        !(loss > 0.0 && s.rng.gen::<f64>() < loss)
-    }
-
-    /// Transmit (or retransmit) one copy of an outstanding message.
+    /// Transmit (or retransmit) an outstanding message; nothing to do for
+    /// one that is no longer outstanding. The body is cloned once per copy
+    /// actually put in flight: not at all for a lost transmission, a
+    /// second time only when the duplicate draw fires.
     fn transmit(&mut self, msg: MsgId, now: SimTime) {
-        let (shard, req) = {
-            let m = &self.outstanding[&msg];
-            (m.shard, m.req.clone())
+        let Some(m) = self.outstanding.get(&msg) else {
+            return;
         };
-        if !self.forward_survives(shard) {
+        let link = &mut self.shards[m.shard];
+        if !link.forward_survives(&self.cfg) {
             self.dropped += 1;
             self.drop_log.push(Drop {
-                request: req.id,
-                workload: req.spec.label.clone(),
-                shard,
+                request: m.req.id,
+                workload: m.req.spec.label.clone(),
+                shard: m.shard,
             });
             return;
         }
-        let due = self.one_way(shard, now);
-        let duplicate =
-            self.cfg.dup_p > 0.0 && self.shards[shard].rng.gen::<f64>() < self.cfg.dup_p;
-        let key = self.next_key(due);
-        self.deliveries.insert(
-            key,
-            Delivery {
-                msg,
-                shard,
-                req: req.clone(),
-                sent_at: now,
-            },
-        );
-        if duplicate {
-            self.duplicated += 1;
-            let dup_due = self.one_way(shard, now);
-            let key = self.next_key(dup_due);
+        let due = link.one_way(&self.cfg, now);
+        let dup_due = (self.cfg.dup_p > 0.0 && link.rng.gen::<f64>() < self.cfg.dup_p)
+            .then(|| link.one_way(&self.cfg, now));
+        self.duplicated += u64::from(dup_due.is_some());
+        for due in std::iter::once(due).chain(dup_due) {
+            self.seq += 1;
             self.deliveries.insert(
-                key,
+                (due, self.seq),
                 Delivery {
                     msg,
-                    shard,
-                    req,
+                    shard: m.shard,
+                    req: m.req.clone(),
                     sent_at: now,
                 },
             );
@@ -317,11 +308,12 @@ impl LinkLayer {
     /// late and a partitioned shard's not at all.
     pub(crate) fn heartbeat(&mut self, now: SimTime) {
         for shard in 0..self.shards.len() {
-            if !self.forward_survives(shard) {
+            let link = &mut self.shards[shard];
+            if !link.forward_survives(&self.cfg) {
                 continue;
             }
-            let there = self.one_way(shard, now);
-            let back = self.one_way(shard, there);
+            let there = link.one_way(&self.cfg, now);
+            let back = link.one_way(&self.cfg, there);
             let key = self.next_key(back);
             self.pongs.insert(key, (shard, now));
         }
@@ -336,7 +328,7 @@ impl LinkLayer {
         if self.shards[shard].partitioned {
             return; // the ack dies in the partition
         }
-        let due = self.one_way(shard, now);
+        let due = self.shards[shard].one_way(&self.cfg, now);
         let key = self.next_key(due);
         self.acks.insert(key, (msg, shard, sent_at));
     }
@@ -352,48 +344,50 @@ impl LinkLayer {
         // link is delivered by this same pump, not the next one.
         if self.cfg.retransmit_secs > 0.0 {
             let timeout = SimDuration::from_secs_f64(self.cfg.retransmit_secs);
-            let due: Vec<MsgId> = self
-                .outstanding
-                .iter()
-                .filter(|(_, m)| m.sent_at + timeout <= now)
-                .map(|(id, _)| *id)
-                .collect();
+            // Restart every expired timer, then re-send: a transmission
+            // touches no other message's timer.
+            let mut due = Vec::new();
+            for (id, m) in &mut self.outstanding {
+                if m.sent_at + timeout <= now {
+                    m.sent_at = now;
+                    m.attempts += 1;
+                    due.push(*id);
+                }
+            }
+            self.retransmits += due.len() as u64;
             for msg in due {
-                let m = self.outstanding.get_mut(&msg).expect("id just listed");
-                m.sent_at = now;
-                m.attempts += 1;
-                self.retransmits += 1;
                 self.transmit(msg, now);
             }
         }
-        while let Some((&key, _)) = self.deliveries.iter().next() {
-            if key.0 > now {
+        while let Some(first) = self.deliveries.first_entry() {
+            if first.key().0 > now {
                 break;
             }
-            let d = self.deliveries.remove(&key).expect("key just read");
             self.delivered += 1;
-            out.deliveries.push(d);
+            out.deliveries.push(first.remove());
         }
-        while let Some((&key, _)) = self.acks.iter().next() {
-            if key.0 > now {
+        while let Some(first) = self.acks.first_entry() {
+            let arrived = first.key().0;
+            if arrived > now {
                 break;
             }
-            let (msg, shard, sent_at) = self.acks.remove(&key).expect("key just read");
+            let (msg, shard, sent_at) = first.remove();
             // Round trips are measured at the scheduled arrival instant,
             // not at whatever later time the link happened to be pumped.
             out.rtt_samples
-                .push((shard, key.0.since(sent_at).as_secs_f64()));
+                .push((shard, arrived.since(sent_at).as_secs_f64()));
             if let Some(m) = self.outstanding.remove(&msg) {
                 out.acked.push((shard, m.req));
             }
         }
-        while let Some((&key, _)) = self.pongs.iter().next() {
-            if key.0 > now {
+        while let Some(first) = self.pongs.first_entry() {
+            let arrived = first.key().0;
+            if arrived > now {
                 break;
             }
-            let (shard, pinged) = self.pongs.remove(&key).expect("key just read");
+            let (shard, pinged) = first.remove();
             out.rtt_samples
-                .push((shard, key.0.since(pinged).as_secs_f64()));
+                .push((shard, arrived.since(pinged).as_secs_f64()));
         }
         out
     }
@@ -435,11 +429,11 @@ impl LinkLayer {
             .filter(|(_, m)| m.shard == shard && !m.accepted)
             .map(|(id, _)| *id)
             .collect();
-        let mut moved = Vec::new();
-        for id in &ids {
-            let m = self.outstanding.remove(id).expect("id just listed");
-            moved.push(m.req);
-        }
+        let moved = ids
+            .iter()
+            .filter_map(|id| self.outstanding.remove(id))
+            .map(|m| m.req)
+            .collect();
         self.deliveries
             .retain(|_, d| !(d.shard == shard && ids.contains(&d.msg)));
         moved

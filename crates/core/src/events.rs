@@ -196,7 +196,10 @@ pub enum WlmEvent {
         query: QueryId,
         /// The query's workload.
         workload: String,
-        /// Technique that issued the kill.
+        /// Technique that issued the kill; `"crash-recovery"` for an
+        /// orphan reclaimed by a restore and `"cancel"` for the running
+        /// copy of a withdrawn request, neither of which is a policy
+        /// verdict.
         by: &'static str,
         /// Whether the request returns to the wait queue.
         resubmit: bool,

@@ -44,6 +44,14 @@
 //! [`WorkloadManager::cold_restart`] is the ablation baseline: restoring
 //! from an *empty* checkpoint, which kills every live query as an orphan
 //! and forgets every queue — what a controller without checkpoints must do.
+//!
+//! # Cancellation is not recovery
+//!
+//! [`WorkloadManager::cancel`] lives here because it is *defined* by the
+//! protocol above — it leaves the controller as restoring a checkpoint
+//! with one request struck out would — but it takes no checkpoint and
+//! restores nothing: its cost is the controller's live work, not its
+//! history. The tests below hold the two to the same bytes.
 
 use super::{RunningMeta, WorkloadManager};
 use crate::api::ManagedRequest;
@@ -177,6 +185,16 @@ pub struct RecoveryReport {
     pub quarantine_dropped: usize,
 }
 
+/// What [`WorkloadManager::cancel`] removed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CancelOutcome {
+    /// Copies taken out of the wait queue, the admission gate and the
+    /// suspended set.
+    pub dequeued: usize,
+    /// Running copies whose engine query was killed.
+    pub killed_running: usize,
+}
+
 impl WorkloadManager {
     /// Control cycles executed so far (monotonic; a [`Self::restore`] does
     /// not rewind it — it tracks the engine's quantum count, which
@@ -193,9 +211,36 @@ impl WorkloadManager {
     }
 
     /// Capture the controller's complete runtime state. Emits
-    /// [`WlmEvent::CheckpointTaken`] when the bus has subscribers.
+    /// [`WlmEvent::CheckpointTaken`] when the bus has subscribers — the
+    /// record's `bytes` is the only reason this ever serializes; a caller
+    /// that needs the encoding anyway should take
+    /// [`Self::checkpoint_bytes`].
     pub fn checkpoint(&self) -> ControllerState {
-        let state = ControllerState {
+        if self.events.borrow().is_active() {
+            self.checkpoint_bytes().0
+        } else {
+            self.capture()
+        }
+    }
+
+    /// [`Self::checkpoint`] together with its canonical encoding,
+    /// serialized once: the same bytes size the
+    /// [`WlmEvent::CheckpointTaken`] record and go to the caller's store.
+    pub fn checkpoint_bytes(&self) -> (ControllerState, Vec<u8>) {
+        let state = self.capture();
+        let bytes = state.to_bytes();
+        if self.events.borrow().is_active() {
+            self.emit(WlmEvent::CheckpointTaken {
+                at: state.at,
+                cycle: state.cycle,
+                bytes: bytes.len(),
+            });
+        }
+        (state, bytes)
+    }
+
+    fn capture(&self) -> ControllerState {
+        ControllerState {
             version: CHECKPOINT_VERSION,
             at: self.engine.now(),
             cycle: self.cycle,
@@ -242,15 +287,7 @@ impl WorkloadManager {
                 .map(|(id, n)| (*id, *n))
                 .collect(),
             resilience: self.resilience.as_ref().map(|l| l.checkpoint()),
-        };
-        if self.events.borrow().is_active() {
-            self.emit(WlmEvent::CheckpointTaken {
-                at: state.at,
-                cycle: state.cycle,
-                bytes: state.to_bytes().len(),
-            });
         }
-        state
     }
 
     /// Restart the control plane from a checkpoint, reconciling it against
@@ -336,18 +373,7 @@ impl WorkloadManager {
             // Orphan: live in the engine but owned by no checkpoint entry.
             // Its request state died with the controller, so nobody could
             // ever account its completion — reclaim the resources.
-            if self.engine.kill(info.id).is_ok() {
-                self.killed += 1;
-                self.stats.entry(&info.label).killed += 1;
-                if trace {
-                    self.emit(WlmEvent::Killed {
-                        at: self.engine.now(),
-                        query: info.id,
-                        workload: info.label.clone(),
-                        by: "crash-recovery",
-                        resubmit: false,
-                    });
-                }
+            if self.kill_unowned(info.id, "crash-recovery") {
                 report.orphans_killed += 1;
             }
         }
@@ -363,6 +389,70 @@ impl WorkloadManager {
             });
         }
         report
+    }
+
+    /// Kill an engine query whose controller-side meta is gone (an orphan
+    /// found by [`Self::restore`], or the running copy of a request being
+    /// [`Self::cancel`]led). Nobody is left to account a completion, so
+    /// the kill is booked under the engine's own label for the query (a
+    /// restructured piece keeps its `label#i`), the suspend overhead the
+    /// meta carried is not banked, and the [`WlmEvent::Killed`] record
+    /// counts as a failure in the breaker feed like any other kill.
+    fn kill_unowned(&mut self, query: QueryId, by: &'static str) -> bool {
+        let Ok(done) = self.engine.kill(query) else {
+            return false;
+        };
+        self.killed += 1;
+        self.stats.entry(&done.label).killed += 1;
+        if self.events.borrow().is_active() {
+            self.emit(WlmEvent::Killed {
+                at: self.engine.now(),
+                query,
+                workload: done.label,
+                by,
+                resubmit: false,
+            });
+        }
+        true
+    }
+
+    /// Withdraw one request from this controller: every copy of it leaves
+    /// the scheduler wait queue, the admission gate and the suspended set,
+    /// and every engine query running it is killed. This is what a
+    /// checkpoint with the request struck out would [`Self::restore`] to,
+    /// at the cost of the live work rather than of the whole controller:
+    /// chain pieces and restart counts booked under the request id stay as
+    /// they are, and a copy parked in the resilience layer's retry queue is
+    /// out of reach. `None` when the controller held no copy. A cancel is
+    /// not a recovery: no checkpoint is taken and nothing is restored.
+    pub fn cancel(&mut self, request: RequestId) -> Option<CancelOutcome> {
+        let held = self.wait_queue.len() + self.deferred.len() + self.suspended.len();
+        self.wait_queue.retain(|m| m.request.id != request);
+        self.deferred.retain(|m| m.request.id != request);
+        self.suspended
+            .retain(|(_, req, _, _)| req.request.id != request);
+        let dequeued = held - (self.wait_queue.len() + self.deferred.len() + self.suspended.len());
+        let running: Vec<QueryId> = self
+            .running
+            .iter()
+            .filter(|(_, meta)| meta.req.request.id == request)
+            .map(|(id, _)| *id)
+            .collect();
+        if dequeued == 0 && running.is_empty() {
+            return None;
+        }
+        let mut outcome = CancelOutcome {
+            dequeued,
+            killed_running: 0,
+        };
+        for query in running {
+            self.running.remove(&query);
+            if self.kill_unowned(query, "cancel") {
+                outcome.killed_running += 1;
+            }
+        }
+        self.live_snap = self.snapshot();
+        Some(outcome)
     }
 
     /// Restart the control plane with *no* checkpoint: every live engine
@@ -412,5 +502,209 @@ impl WorkloadManager {
         }
         self.cycle += 1;
         self.live_snap = self.snapshot();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::admission::ThresholdAdmission;
+    use crate::api::WlmBuilder;
+    use crate::execution::{LoadShedSuspender, ThresholdKiller};
+    use crate::resilience::{BreakerConfig, ResilienceConfig, RetryPolicy};
+    use crate::scheduling::{PriorityScheduler, Restructurer};
+    use crate::splitmix64;
+    use wlm_dbsim::engine::EngineConfig;
+    use wlm_dbsim::optimizer::CostModel;
+    use wlm_workload::generators::{BiSource, OltpSource};
+    use wlm_workload::mix::MixedSource;
+
+    /// A small overloaded engine behind every stage that can hold a
+    /// request: an MPL-capped gate (deferred), a priority scheduler (wait
+    /// queue), a restructurer (chained running pieces), a load-shed
+    /// suspender (suspended), and a killer under retry + breakers (parked
+    /// retries, restart counts, a breaker feed listening for kills).
+    fn manager() -> WorkloadManager {
+        let mut mgr = WlmBuilder::new()
+            .engine(EngineConfig {
+                cores: 2,
+                memory_mb: 512,
+                ..Default::default()
+            })
+            .cost_model(CostModel::oracle())
+            .build()
+            .expect("valid configuration");
+        mgr.set_scheduler(Box::new(PriorityScheduler::new(3)));
+        mgr.set_admission(Box::new(ThresholdAdmission::with_global_mpl(6)));
+        mgr.set_restructurer(Restructurer {
+            slice_threshold_timerons: 2_000_000.0,
+            target_piece_timerons: 1_000_000.0,
+            max_pieces: 6,
+        });
+        mgr.add_exec_controller(Box::new(LoadShedSuspender {
+            pressure_threshold: 2,
+            ..Default::default()
+        }));
+        mgr.add_exec_controller(Box::new(ThresholdKiller::new(0.5)));
+        mgr.set_resilience(
+            ResilienceConfig::new(0xCA)
+                .with_timeout("oltp", 1.5)
+                .with_timeout("bi", 20.0)
+                .with_retry(RetryPolicy::aggressive())
+                .with_breaker(BreakerConfig::default()),
+        );
+        mgr
+    }
+
+    fn mix(seed: u64) -> MixedSource {
+        MixedSource::new()
+            .with(Box::new(OltpSource::new(60.0, seed)))
+            .with(Box::new(
+                BiSource::new(3.0, seed + 1).with_size(20_000_000.0, 1.0),
+            ))
+    }
+
+    /// What `Cluster::cancel_copy` did before [`WorkloadManager::cancel`]
+    /// existed: strike the request out of a full checkpoint and restore
+    /// it. Kept here as the reference the targeted removal must match.
+    fn cancel_by_restore(mgr: &mut WorkloadManager, request: RequestId) -> Option<RecoveryReport> {
+        let mut ckpt = mgr.checkpoint();
+        let held = |c: &ControllerState| {
+            c.wait_queue.len() + c.deferred.len() + c.running.len() + c.suspended.len()
+        };
+        let before = held(&ckpt);
+        ckpt.wait_queue.retain(|m| m.request.id != request);
+        ckpt.deferred.retain(|m| m.request.id != request);
+        ckpt.running.retain(|rc| rc.req.request.id != request);
+        ckpt.suspended.retain(|s| s.req.request.id != request);
+        (held(&ckpt) != before).then(|| mgr.restore(&ckpt))
+    }
+
+    fn assert_same(a: &WorkloadManager, b: &WorkloadManager, when: &str) {
+        assert_eq!(
+            a.checkpoint_bytes().1,
+            b.checkpoint_bytes().1,
+            "controller state diverged {when}"
+        );
+        assert_eq!(
+            serde_json::to_string(&a.report()).expect("report serializes"),
+            serde_json::to_string(&b.report()).expect("report serializes"),
+            "reports diverged {when}"
+        );
+        assert_eq!(
+            a.engine().live_ids(),
+            b.engine().live_ids(),
+            "engines diverged {when}"
+        );
+        assert_eq!(a.live_snapshot(), b.live_snapshot(), "snapshots {when}");
+    }
+
+    /// Step two identical managers in lock-step; at random ticks cancel a
+    /// request on one with [`WorkloadManager::cancel`] and on its twin by
+    /// the checkpoint round trip. Returns how often the target sat in the
+    /// wait queue, at the gate, in the engine, suspended, parked for a
+    /// retry (out of a cancel's reach), and nowhere.
+    fn differential_walk(seed: u64, ticks: usize) -> [usize; 6] {
+        let mut state = seed;
+        let mut draw = |n: u64| {
+            state = splitmix64(state);
+            state % n
+        };
+        let (mut a, mut b) = (manager(), manager());
+        let (mut src_a, mut src_b) = (mix(seed), mix(seed));
+        let mut hits = [0usize; 6];
+        for tick in 0..ticks {
+            a.tick(&mut src_a);
+            b.tick(&mut src_b);
+            if draw(16) != 0 {
+                continue;
+            }
+            let parked = a.resilience.as_ref().expect("resilience is on");
+            let residents: [Vec<RequestId>; 5] = [
+                a.wait_queue.iter().map(|m| m.request.id).collect(),
+                a.deferred.iter().map(|m| m.request.id).collect(),
+                a.running.values().map(|meta| meta.req.request.id).collect(),
+                a.suspended.iter().map(|s| s.1.request.id).collect(),
+                parked
+                    .checkpoint()
+                    .retry_queue
+                    .iter()
+                    .map(|r| r.req.request.id)
+                    .collect(),
+            ];
+            // Aim at each occupied residence equally often, whatever
+            // their sizes, and one time in eight at an absent request.
+            let occupied: Vec<&Vec<RequestId>> =
+                residents.iter().filter(|ids| !ids.is_empty()).collect();
+            let target = if occupied.is_empty() || draw(8) == 0 {
+                RequestId(u64::MAX - draw(1 << 20))
+            } else {
+                let ids = occupied[draw(occupied.len() as u64) as usize];
+                ids[draw(ids.len() as u64) as usize]
+            };
+            let place = residents.iter().position(|ids| ids.contains(&target));
+            hits[place.unwrap_or(5)] += 1;
+            let found = place.filter(|&p| p < 4);
+
+            let emitted = a.events_emitted();
+            let cancelled = a.cancel(target);
+            let restored = cancel_by_restore(&mut b, target);
+            let when = format!("cancelling {target:?} at tick {tick} (seed {seed})");
+            assert_eq!(cancelled.is_some(), found.is_some(), "{when}");
+            if cancelled.is_none() {
+                assert_eq!(a.events_emitted(), emitted, "a miss emits nothing: {when}");
+            }
+            assert_eq!(cancelled.is_some(), restored.is_some(), "{when}");
+            if let (Some(c), Some(r)) = (cancelled, restored) {
+                assert_eq!(c.killed_running, r.orphans_killed, "{when}");
+                assert_eq!(r.requeued + r.quarantine_dropped, 0, "{when}");
+                let copies = residents[..4].iter().flatten().filter(|id| **id == target);
+                assert_eq!(c.dequeued + c.killed_running, copies.count(), "{when}");
+            }
+            assert_same(&a, &b, &when);
+        }
+        for _ in 0..200 {
+            a.tick(&mut src_a);
+            b.tick(&mut src_b);
+        }
+        assert_same(&a, &b, &format!("200 ticks after the walk (seed {seed})"));
+        hits
+    }
+
+    #[test]
+    fn cancel_matches_the_checkpoint_strip_restore_it_replaces() {
+        let mut hits = [0usize; 6];
+        for seed in [1, 7, 42, 1_000_003] {
+            for (total, n) in hits.iter_mut().zip(differential_walk(seed, 2_000)) {
+                *total += n;
+            }
+        }
+        assert!(
+            hits.iter().all(|&n| n >= 15),
+            "the walk must aim at every residence: {hits:?}"
+        );
+    }
+
+    #[test]
+    fn checkpoint_bytes_announces_the_length_of_the_bytes_it_returns() {
+        let mut mgr = manager();
+        let trace = crate::events::RingRecorder::new(1 << 16);
+        mgr.subscribe(Box::new(trace.clone()));
+        let mut src = mix(5);
+        for _ in 0..200 {
+            mgr.tick(&mut src);
+        }
+        trace.take();
+        let (state, bytes) = mgr.checkpoint_bytes();
+        assert_eq!(bytes, state.to_bytes());
+        let announced: Vec<usize> = trace
+            .events()
+            .iter()
+            .filter_map(|e| match e {
+                WlmEvent::CheckpointTaken { bytes, .. } => Some(*bytes),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(announced, vec![bytes.len()]);
     }
 }

@@ -52,7 +52,8 @@ mod schedule;
 pub mod store;
 
 pub use checkpoint::{
-    ControllerState, RecoveryReport, RunningCheckpoint, SuspendedCheckpoint, CHECKPOINT_VERSION,
+    CancelOutcome, ControllerState, RecoveryReport, RunningCheckpoint, SuspendedCheckpoint,
+    CHECKPOINT_VERSION,
 };
 pub use store::{
     CheckpointStore, CommitReport, CorruptionKind, LoadOutcome, StoreConfig, ENVELOPE_VERSION,
