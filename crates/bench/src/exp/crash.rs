@@ -20,14 +20,14 @@
 use serde::Serialize;
 use wlm_chaos::{run_with_chaos, ChaosDriver, FaultPlanBuilder};
 use wlm_core::api::WlmBuilder;
-use wlm_core::manager::{ControllerState, RecoveryReport, WorkloadManager};
+use wlm_core::manager::{ControllerState, RecoveryReport, RunReport, WorkloadManager};
 use wlm_core::policy::WorkloadPolicy;
 use wlm_core::resilience::{
     BreakerConfig, LadderConfig, QuarantineConfig, ResilienceConfig, RetryPolicy,
 };
 use wlm_core::scheduling::PriorityScheduler;
 use wlm_dbsim::engine::EngineConfig;
-use wlm_dbsim::metrics::summarize;
+use wlm_dbsim::metrics::DurationHistogram;
 use wlm_dbsim::optimizer::CostModel;
 use wlm_dbsim::time::{SimDuration, SimTime};
 use wlm_workload::generators::{BiSource, OltpSource, PoisonSource, Source};
@@ -73,8 +73,8 @@ pub struct E18Variant {
     /// Completions on the final books (a cold restart forgets its
     /// pre-crash books, so this is post-crash-only for that variant).
     pub completed: u64,
-    /// Mean OLTP response over the last third of the recorded responses —
-    /// the end-of-run steady state the recovered run must converge to.
+    /// Mean OLTP response over the last third of the run — the end-of-run
+    /// steady state the recovered run must converge to.
     pub steady_oltp_mean: f64,
     /// What recovery did (absent for the uninterrupted baseline).
     pub recovery: Option<RecoveryReport>,
@@ -209,23 +209,33 @@ fn run_crash_variant(
         }
         CrashMode::Cold => (0, 0, 0),
     };
-    // Segment 2: the crash fires on the first cycle, then the run plays out.
-    run_with_chaos(
+    // Segment 2: the crash fires on the first cycle, then the run plays
+    // out. The steady-state window opens two thirds into the run — after
+    // the crash cycle in any case, so both of its snapshots are of the
+    // books the recovery left.
+    let steady_ms = (total_ms * 2 / 3).max(crash_ms + QUANTUM_MS).min(total_ms);
+    let oltp_responses = |report: &RunReport| -> DurationHistogram {
+        report
+            .workload("oltp")
+            .map(|w| w.stats.responses.clone())
+            .unwrap_or_default()
+    };
+    let before_steady = oltp_responses(&run_with_chaos(
         &mut mgr,
         &mut src,
-        SimDuration::from_millis(total_ms - crash_ms),
+        SimDuration::from_millis(steady_ms - crash_ms),
+        &mut driver,
+    ));
+    let report = run_with_chaos(
+        &mut mgr,
+        &mut src,
+        SimDuration::from_millis(total_ms - steady_ms),
         &mut driver,
     );
-    let report = mgr.report();
     let (goals, killed, rejected) = sla_counts(&mgr);
     let goal_violations_post_crash = goals.saturating_sub(pre.0);
     let killed_post_crash = killed.saturating_sub(pre.1);
     let rejected_post_crash = rejected.saturating_sub(pre.2);
-    let responses = report
-        .workload("oltp")
-        .map(|w| w.stats.responses_secs.clone())
-        .unwrap_or_default();
-    let tail = &responses[responses.len() - responses.len() / 3..];
     E18Variant {
         variant,
         sla_violations_post_crash: goal_violations_post_crash
@@ -235,7 +245,7 @@ fn run_crash_variant(
         killed_post_crash,
         rejected_post_crash,
         completed: report.completed,
-        steady_oltp_mean: summarize(tail).mean,
+        steady_oltp_mean: oltp_responses(&report).since(&before_steady).mean_secs(),
         recovery: driver.last_recovery(),
         checkpoints_taken: driver.checkpoints_taken(),
     }

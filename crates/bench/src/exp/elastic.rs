@@ -301,7 +301,7 @@ fn e25_arm(variant: &'static str, seed: u64, budget: Option<RetryBudgetConfig>) 
     let (src, _handle) = SurgeSource::new(Box::new(inner), seed + 1);
     let mut src = src.with_ramp(E25_RAMP);
     let mut phases = Vec::new();
-    let mut seen = 0usize;
+    let mut seen = 0u64;
     for (phase, until_secs) in [
         ("pre-surge", E25_PRE_END),
         ("surge", E25_SURGE_END),
@@ -313,11 +313,11 @@ fn e25_arm(variant: &'static str, seed: u64, budget: Option<RetryBudgetConfig>) 
         let completed = mgr
             .report()
             .workload("oltp")
-            .map_or(0, |w| w.stats.responses_secs.len());
+            .map_or(0, |w| w.stats.completed);
         let span = (until_secs as f64 - start_secs).max(f64::EPSILON);
         phases.push(E25Phase {
             phase,
-            completed: (completed - seen) as u64,
+            completed: completed - seen,
             goodput: (completed - seen) as f64 / span,
         });
         seen = completed;

@@ -2,6 +2,7 @@
 
 use serde::Serialize;
 use wlm_core::api::WlmBuilder;
+use wlm_core::events::{RingRecorder, WlmEvent};
 use wlm_core::execution::{
     optimal_suspend_plan, EconomicReallocator, ProgressGuidedKiller, SuspendCosts, ThresholdKiller,
     UtilityThrottler,
@@ -77,11 +78,30 @@ pub fn e4_throttling() -> E4Result {
                 0,
             )));
         }
-        let report = mgr.run(&mut mix, SimDuration::from_secs(900));
-        let utility_secs = report
-            .workload("utility")
-            .and_then(|w| w.stats.responses_secs.first().copied())
-            .unwrap_or(f64::NAN);
+        // The manager's books keep histograms, not samples; a window by
+        // arrival time needs the individual completions, which the bus
+        // delivers: (workload, arrival, response), 5/s for 900 s.
+        let completions = RingRecorder::of_kind("completed", 1 << 14);
+        mgr.subscribe(Box::new(completions.clone()));
+        mgr.run(&mut mix, SimDuration::from_secs(900));
+        assert_eq!(completions.dropped(), 0, "the ring holds the whole run");
+        let done: Vec<(String, f64, f64)> = completions
+            .take()
+            .into_iter()
+            .filter_map(|e| match e {
+                WlmEvent::Completed {
+                    at,
+                    workload,
+                    response_secs,
+                    ..
+                } => Some((workload, at.as_secs_f64() - response_secs, response_secs)),
+                _ => None,
+            })
+            .collect();
+        let utility_secs = done
+            .iter()
+            .find(|(workload, ..)| workload == "utility")
+            .map_or(f64::NAN, |&(_, _, response)| response);
         // Production degradation is meaningful only while the utility is
         // live: average production responses over that window (or the whole
         // run for the no-utility baseline).
@@ -90,16 +110,12 @@ pub fn e4_throttling() -> E4Result {
         } else {
             10.0 + utility_secs
         };
-        let samples: Vec<f64> = mgr
-            .query_log()
-            .entries()
+        let samples: Vec<f64> = done
             .iter()
-            .filter(|e| e.label == "production")
-            .filter(|e| {
-                let t = e.arrival.as_secs_f64();
-                (10.0..window_end).contains(&t)
+            .filter(|(workload, arrival, _)| {
+                workload == "production" && (10.0..window_end).contains(arrival)
             })
-            .map(|e| e.response.as_secs_f64())
+            .map(|&(_, _, response)| response)
             .collect();
         let prod_mean = if samples.is_empty() {
             f64::NAN

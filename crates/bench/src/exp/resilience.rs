@@ -21,7 +21,7 @@ use wlm_core::policy::WorkloadPolicy;
 use wlm_core::resilience::{BreakerConfig, LadderConfig, ResilienceConfig, RetryPolicy};
 use wlm_core::scheduling::PriorityScheduler;
 use wlm_dbsim::engine::EngineConfig;
-use wlm_dbsim::metrics::summarize;
+use wlm_dbsim::metrics::DurationHistogram;
 use wlm_dbsim::optimizer::CostModel;
 use wlm_dbsim::time::{SimDuration, SimTime};
 use wlm_workload::generators::{AdHocSource, BiSource, OltpSource, SurgeSource};
@@ -245,7 +245,8 @@ pub fn e17_fault_recovery(seed: u64) -> E17Result {
         .build();
     let mut driver = ChaosDriver::new(plan).with_surge(handle);
     let mut phases = Vec::new();
-    let mut seen_responses = 0usize;
+    // A phase is the difference of two snapshots of the cumulative books.
+    let mut seen_responses = DurationHistogram::default();
     let mut seen_goals = 0u64;
     for (phase, until_secs) in [("pre-fault", 15u64), ("fault", 30), ("recovery", 60)] {
         let target = SimTime(until_secs * 1_000_000);
@@ -254,19 +255,18 @@ pub fn e17_fault_recovery(seed: u64) -> E17Result {
         let report = mgr.report();
         let responses = report
             .workload("oltp")
-            .map(|w| w.stats.responses_secs.clone())
+            .map(|w| w.stats.responses.clone())
             .unwrap_or_default();
-        let slice = &responses[seen_responses.min(responses.len())..];
-        let summary = summarize(slice);
+        let window = responses.since(&seen_responses);
         let goals = mgr.goal_violations_in("oltp") + mgr.goal_violations_in("bi");
         phases.push(E17Phase {
             phase,
-            oltp_completions: slice.len() as u64,
-            oltp_mean: summary.mean,
-            oltp_p95: summary.p95,
+            oltp_completions: window.count(),
+            oltp_mean: window.mean_secs(),
+            oltp_p95: window.percentile_secs(95.0),
             goal_violations: goals - seen_goals,
         });
-        seen_responses = responses.len();
+        seen_responses = responses;
         seen_goals = goals;
     }
     let res = mgr.resilience_report().expect("resilience layer enabled");

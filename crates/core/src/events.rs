@@ -758,6 +758,8 @@ struct RingState {
     buf: VecDeque<WlmEvent>,
     capacity: usize,
     dropped: u64,
+    /// Record only events of this [`WlmEvent::kind`].
+    only: Option<&'static str>,
 }
 
 /// A bounded ring-buffer recorder: keeps the most recent `capacity`
@@ -787,8 +789,18 @@ impl RingRecorder {
                 buf: VecDeque::new(),
                 capacity: capacity.max(1),
                 dropped: 0,
+                only: None,
             })),
         }
+    }
+
+    /// A recorder that keeps only events of one [`WlmEvent::kind`] — e.g.
+    /// `"completed"`, for a consumer that wants individual completions
+    /// (the manager's own books keep histograms, not samples).
+    pub fn of_kind(kind: &'static str, capacity: usize) -> Self {
+        let recorder = Self::new(capacity);
+        recorder.state.borrow_mut().only = Some(kind);
+        recorder
     }
 
     /// A copy of the recorded events, oldest first.
@@ -820,6 +832,9 @@ impl RingRecorder {
 impl EventSubscriber for RingRecorder {
     fn on_event(&mut self, event: &WlmEvent) {
         let mut state = self.state.borrow_mut();
+        if state.only.is_some_and(|kind| kind != event.kind()) {
+            return;
+        }
         if state.buf.len() == state.capacity {
             state.buf.pop_front();
             state.dropped += 1;
@@ -1068,6 +1083,20 @@ mod tests {
         assert_eq!(events[0].at(), SimTime(2));
         assert_eq!(events[1].at(), SimTime(3));
         assert!(ring.is_empty());
+    }
+
+    #[test]
+    fn ring_of_one_kind_ignores_the_rest() {
+        let mut ring = RingRecorder::of_kind("completed", 8);
+        ring.on_event(&completed(1, "oltp", 0.1));
+        ring.on_event(&WlmEvent::MapePlan {
+            at: SimTime(2),
+            decision: "steady",
+            escalation: 0,
+        });
+        assert_eq!(ring.len(), 1);
+        assert_eq!(ring.dropped(), 0);
+        assert_eq!(ring.events()[0].kind(), "completed");
     }
 
     #[test]

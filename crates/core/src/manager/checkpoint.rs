@@ -16,6 +16,12 @@
 //! compatibility — [`ControllerState::from_bytes`] rejects any other
 //! version rather than misinterpreting the bytes.
 //!
+//! Every field is bounded by the controller's live work or by a constant.
+//! Since version 2 that includes the reporting state: the per-workload
+//! books hold a response-time histogram instead of every sample, and the
+//! query log weighted templates instead of every request (version 1
+//! carried both in full, so an image grew with the requests ever served).
+//!
 //! "Aging clocks" survive because every queued [`ManagedRequest`] carries
 //! its absolute arrival time and every parked retry its absolute due time;
 //! after a restore, queueing delay and backoff age keep accruing from the
@@ -69,7 +75,7 @@ use wlm_workload::request::RequestId;
 use wlm_workload::trace::QueryLog;
 
 /// Checkpoint format version accepted by [`ControllerState::from_bytes`].
-pub const CHECKPOINT_VERSION: u32 = 1;
+pub const CHECKPOINT_VERSION: u32 = 2;
 
 /// One running query as captured in a checkpoint: the engine id it runs
 /// under plus the controller-side meta the engine does not hold.
@@ -121,11 +127,12 @@ pub struct ControllerState {
     pub running: Vec<RunningCheckpoint>,
     /// Suspended queries awaiting resumption, oldest first.
     pub suspended: Vec<SuspendedCheckpoint>,
-    /// Per-workload books (MPL/budget counters live here).
+    /// Per-workload books (MPL/budget counters live here; response times
+    /// as fixed-size histograms).
     pub stats: StatsBook,
     /// Recent response windows per workload.
     pub recent: BTreeMap<String, VecDeque<f64>>,
-    /// The DBQL-style query log.
+    /// The DBQL-style query log, as weighted templates.
     pub query_log: QueryLog,
     /// Total completions so far.
     pub completed: u64,

@@ -82,7 +82,6 @@ use wlm_dbsim::plan::QuerySpec;
 use wlm_dbsim::suspend::SuspendedQuery;
 use wlm_dbsim::time::{SimDuration, SimTime};
 use wlm_workload::generators::Source;
-use wlm_workload::sla::ServiceLevelAgreement;
 use wlm_workload::trace::QueryLog;
 
 /// Manager configuration.
@@ -423,7 +422,8 @@ impl WorkloadManager {
         &self.engine
     }
 
-    /// The DBQL-style query log of completed requests.
+    /// The DBQL-style query log of completed requests, compressed to
+    /// weighted templates.
     pub fn query_log(&self) -> &QueryLog {
         &self.query_log
     }
@@ -530,15 +530,13 @@ impl WorkloadManager {
 
     /// Build the end-of-run report at the current time.
     pub fn report(&self) -> RunReport {
-        let slas: BTreeMap<String, ServiceLevelAgreement> = self
-            .policies
-            .iter()
-            .map(|(name, p)| (name.clone(), p.sla.clone()))
-            .collect();
         let elapsed = self.engine.now().since(self.stats.started);
         RunReport {
             elapsed_secs: elapsed.as_secs_f64(),
-            workloads: self.stats.report(&slas, self.engine.now()),
+            workloads: self.stats.report(
+                |name| self.policies.get(name).map(|p| &p.sla),
+                self.engine.now(),
+            ),
             completed: self.completed,
             killed: self.killed,
             rejected: self.rejected,
@@ -562,6 +560,7 @@ mod tests {
     use wlm_workload::generators::{BiSource, OltpSource};
     use wlm_workload::mix::MixedSource;
     use wlm_workload::request::Importance;
+    use wlm_workload::sla::ServiceLevelAgreement;
 
     fn small_builder() -> WlmBuilder {
         WlmBuilder::new()

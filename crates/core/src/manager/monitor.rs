@@ -11,11 +11,12 @@
 use super::context::CycleContext;
 use super::{RunningMeta, WorkloadManager};
 use crate::events::WlmEvent;
+use crate::stats::slot;
 use std::collections::VecDeque;
 use wlm_dbsim::engine::CompletionKind;
 use wlm_workload::generators::Source;
 use wlm_workload::sla::{velocity, PerformanceObjective};
-use wlm_workload::trace::QueryLogEntry;
+use wlm_workload::trace::CompletedQuery;
 
 impl WorkloadManager {
     /// Step the engine and account the quantum's outcomes.
@@ -63,8 +64,9 @@ impl WorkloadManager {
             let vel = velocity(meta.req.estimate.exec_secs, response_secs);
             {
                 let ws = self.stats.entry(&meta.req.workload);
-                ws.responses_secs.push(response_secs);
-                ws.velocities.push(vel);
+                ws.responses.record(c.response);
+                ws.velocity_sum += vel;
+                ws.velocity_count += 1;
                 ws.completed += 1;
                 // Bank the request's accumulated suspend/resume overhead
                 // into the per-workload book before the meta is dropped.
@@ -86,21 +88,18 @@ impl WorkloadManager {
                     })
                     .fold(f64::INFINITY, f64::min);
                 if response_secs > tightest {
-                    *self
-                        .goal_violations
-                        .entry(meta.req.workload.clone())
-                        .or_insert(0) += 1;
+                    *slot(&mut self.goal_violations, &meta.req.workload) += 1;
                 }
             }
-            let window = self.recent.entry(meta.req.workload.clone()).or_default();
+            let window = slot(&mut self.recent, &meta.req.workload);
             window.push_back(response_secs);
             while window.len() > self.response_window {
                 window.pop_front();
             }
-            self.query_log.record(QueryLogEntry {
+            self.query_log.record(CompletedQuery {
                 arrival: meta.req.request.arrival,
-                label: meta.req.workload.clone(),
-                origin: meta.req.request.origin.clone(),
+                label: &meta.req.workload,
+                origin: &meta.req.request.origin,
                 statement: meta.req.request.spec.statement,
                 estimated_cost: meta.req.estimate.timerons,
                 true_work_us: c.work_total_us,

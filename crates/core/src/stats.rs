@@ -2,17 +2,20 @@
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use wlm_dbsim::metrics::{summarize, SummaryStats};
+use wlm_dbsim::metrics::{DurationHistogram, SummaryStats};
 use wlm_dbsim::time::SimTime;
 use wlm_workload::sla::{ServiceLevelAgreement, SlaEvaluation};
 
-/// Accumulated outcomes for one workload.
+/// Accumulated outcomes for one workload. Fixed-size: its footprint does
+/// not grow with the number of requests served.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct WorkloadStats {
-    /// Response-time samples (arrival → completion), seconds.
-    pub responses_secs: Vec<f64>,
-    /// Execution-velocity samples.
-    pub velocities: Vec<f64>,
+    /// Response times (arrival → completion).
+    pub responses: DurationHistogram,
+    /// Sum of the execution-velocity samples.
+    pub velocity_sum: f64,
+    /// Number of execution-velocity samples.
+    pub velocity_count: u64,
     /// Requests completed.
     pub completed: u64,
     /// Requests killed (and not resubmitted).
@@ -31,19 +34,28 @@ pub struct WorkloadStats {
 }
 
 impl WorkloadStats {
-    /// Response-time summary.
+    /// Response-time summary (percentiles at histogram resolution).
     pub fn summary(&self) -> SummaryStats {
-        summarize(&self.responses_secs)
+        self.responses.summary()
     }
 
     /// Mean velocity (1.0 if no samples).
     pub fn mean_velocity(&self) -> f64 {
-        if self.velocities.is_empty() {
-            1.0
-        } else {
-            self.velocities.iter().sum::<f64>() / self.velocities.len() as f64
-        }
+        self.measured_velocity().unwrap_or(1.0)
     }
+
+    fn measured_velocity(&self) -> Option<f64> {
+        (self.velocity_count > 0).then(|| self.velocity_sum / self.velocity_count as f64)
+    }
+}
+
+/// `map[key]`, default-inserted first if absent. The key is cloned only
+/// then: the per-completion look-ups almost always hit.
+pub(crate) fn slot<'a, V: Default>(map: &'a mut BTreeMap<String, V>, key: &str) -> &'a mut V {
+    if !map.contains_key(key) {
+        map.insert(key.to_string(), V::default());
+    }
+    map.get_mut(key).expect("present or just inserted")
 }
 
 /// SLA outcome for one workload over a run.
@@ -78,7 +90,7 @@ impl StatsBook {
 
     /// Mutable stats for a workload (created on first touch).
     pub fn entry(&mut self, workload: &str) -> &mut WorkloadStats {
-        self.workloads.entry(workload.to_string()).or_default()
+        slot(&mut self.workloads, workload)
     }
 
     /// Stats for a workload, if any were recorded.
@@ -91,23 +103,23 @@ impl StatsBook {
         self.workloads.keys().map(String::as_str)
     }
 
-    /// Build per-workload reports, evaluating each against its SLA.
-    pub fn report(
+    /// Build per-workload reports, evaluating each against the SLA
+    /// `sla_of` finds for it (none evaluates as met).
+    pub fn report<'a>(
         &self,
-        slas: &BTreeMap<String, ServiceLevelAgreement>,
+        sla_of: impl Fn(&str) -> Option<&'a ServiceLevelAgreement>,
         now: SimTime,
     ) -> Vec<WorkloadReport> {
         let elapsed = now.since(self.started).as_secs_f64();
         self.workloads
             .iter()
-            .map(|(name, stats)| {
-                let sla = slas.get(name).cloned().unwrap_or_default();
-                WorkloadReport {
-                    workload: name.clone(),
-                    summary: stats.summary(),
-                    sla: sla.evaluate(&stats.responses_secs, &stats.velocities, elapsed),
-                    stats: stats.clone(),
-                }
+            .map(|(name, stats)| WorkloadReport {
+                workload: name.clone(),
+                summary: stats.summary(),
+                sla: sla_of(name).map_or_else(SlaEvaluation::default, |sla| {
+                    sla.evaluate(&stats.responses, stats.measured_velocity(), elapsed)
+                }),
+                stats: stats.clone(),
             })
             .collect()
     }
@@ -116,20 +128,25 @@ impl StatsBook {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wlm_dbsim::time::SimDuration;
 
     #[test]
     fn entry_accumulates_and_reports() {
         let mut book = StatsBook::new(SimTime::ZERO);
         {
             let s = book.entry("oltp");
-            s.responses_secs.extend([0.1, 0.2, 0.3]);
+            for ms in [100, 200, 300] {
+                s.responses.record(SimDuration::from_millis(ms));
+            }
             s.completed = 3;
         }
         book.entry("bi").rejected = 2;
 
-        let mut slas = BTreeMap::new();
-        slas.insert("oltp".to_string(), ServiceLevelAgreement::avg_response(1.0));
-        let reports = book.report(&slas, SimTime(10_000_000));
+        let oltp_sla = ServiceLevelAgreement::avg_response(1.0);
+        let reports = book.report(
+            |name| (name == "oltp").then_some(&oltp_sla),
+            SimTime(10_000_000),
+        );
         assert_eq!(reports.len(), 2);
         let oltp = reports.iter().find(|r| r.workload == "oltp").unwrap();
         assert!(oltp.sla.met());
@@ -143,8 +160,11 @@ mod tests {
     fn mean_velocity_defaults_to_one() {
         let s = WorkloadStats::default();
         assert_eq!(s.mean_velocity(), 1.0);
-        let mut s2 = WorkloadStats::default();
-        s2.velocities.extend([0.2, 0.4]);
+        let s2 = WorkloadStats {
+            velocity_sum: 0.2 + 0.4,
+            velocity_count: 2,
+            ..Default::default()
+        };
         assert!((s2.mean_velocity() - 0.3).abs() < 1e-9);
     }
 }

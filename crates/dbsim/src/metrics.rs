@@ -54,6 +54,167 @@ pub fn summarize(samples: &[f64]) -> SummaryStats {
     }
 }
 
+/// Index of the log-linear bucket holding `value`: every value below
+/// `2^(sub_bits + 1)` has a bucket of its own, and each octave above is cut
+/// into `2^sub_bits` equal buckets, so a bucket is never wider than
+/// `2^-sub_bits` of the values in it. Indices ascend with the values.
+pub fn log_bucket(value: u64, sub_bits: u32) -> u32 {
+    let octave = 63 - (value | 1).leading_zeros();
+    if octave <= sub_bits {
+        return value as u32;
+    }
+    let shift = octave - sub_bits;
+    (shift << sub_bits) + (value >> shift) as u32
+}
+
+/// The largest value [`log_bucket`] maps to `index`.
+fn log_bucket_upper(index: u32, sub_bits: u32) -> u64 {
+    if index < (2 << sub_bits) {
+        return u64::from(index);
+    }
+    let shift = (index >> sub_bits) - 1;
+    let mantissa = u64::from(index & ((1 << sub_bits) - 1)) | (1 << sub_bits);
+    (mantissa << shift) + ((1 << shift) - 1)
+}
+
+/// A fixed-size histogram of durations on integer microseconds, HDR-style:
+/// [`log_bucket`]s at 128 per octave. Its size follows the *spread* of the
+/// samples (a few hundred non-empty buckets for responses between a
+/// millisecond and a minute), never their number.
+///
+/// `count`, `sum_us` (so the mean) and `max_us` are exact. A percentile is
+/// reported as the upper edge of the bucket its nearest-rank sample fell
+/// in, clamped to the exact maximum: never below the exact nearest-rank
+/// value and less than 1 % (1/128) above it.
+#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+pub struct DurationHistogram {
+    count: u64,
+    sum_us: u64,
+    max_us: u64,
+    /// `(bucket index, samples)` of every non-empty bucket, ascending; grown
+    /// on first sample, so an unused histogram owns no heap.
+    buckets: Vec<(u32, u64)>,
+}
+
+impl DurationHistogram {
+    const SUB_BITS: u32 = 7;
+
+    /// Add one sample.
+    pub fn record(&mut self, sample: SimDuration) {
+        let us = sample.as_micros();
+        self.count += 1;
+        self.sum_us += us;
+        self.max_us = self.max_us.max(us);
+        self.add(log_bucket(us, Self::SUB_BITS), 1);
+    }
+
+    fn add(&mut self, index: u32, samples: u64) {
+        match self.buckets.binary_search_by_key(&index, |b| b.0) {
+            Ok(at) => self.buckets[at].1 += samples,
+            Err(at) => self.buckets.insert(at, (index, samples)),
+        }
+    }
+
+    /// Samples recorded.
+    pub fn count(&self) -> u64 {
+        self.count
+    }
+
+    /// Whether no sample was recorded.
+    pub fn is_empty(&self) -> bool {
+        self.count == 0
+    }
+
+    /// Exact sum of the samples, µs.
+    pub fn sum_us(&self) -> u64 {
+        self.sum_us
+    }
+
+    /// Exact largest sample, µs (0 when empty).
+    pub fn max_us(&self) -> u64 {
+        self.max_us
+    }
+
+    /// Exact mean, seconds (0 when empty).
+    pub fn mean_secs(&self) -> f64 {
+        if self.count == 0 {
+            return 0.0;
+        }
+        self.sum_us as f64 / self.count as f64 / 1e6
+    }
+
+    /// Nearest-rank percentile at bucket resolution, µs. `p` in `[0,100]`;
+    /// 0 when empty, and `p = 100` is the exact maximum.
+    pub fn percentile_us(&self, p: f64) -> u64 {
+        let rank = (((p / 100.0) * self.count as f64).ceil() as u64).clamp(1, self.count.max(1));
+        let mut seen = 0;
+        for &(index, n) in &self.buckets {
+            seen += n;
+            if seen >= rank {
+                return log_bucket_upper(index, Self::SUB_BITS).min(self.max_us);
+            }
+        }
+        0
+    }
+
+    /// [`Self::percentile_us`] in seconds.
+    pub fn percentile_secs(&self, p: f64) -> f64 {
+        self.percentile_us(p) as f64 / 1e6
+    }
+
+    /// The [`SummaryStats`] of the recorded samples.
+    pub fn summary(&self) -> SummaryStats {
+        SummaryStats {
+            count: self.count,
+            mean: self.mean_secs(),
+            p50: self.percentile_secs(50.0),
+            p90: self.percentile_secs(90.0),
+            p95: self.percentile_secs(95.0),
+            p99: self.percentile_secs(99.0),
+            max: self.max_us as f64 / 1e6,
+        }
+    }
+
+    /// Fold `other`'s samples into this histogram.
+    pub fn merge(&mut self, other: &DurationHistogram) {
+        self.count += other.count;
+        self.sum_us += other.sum_us;
+        self.max_us = self.max_us.max(other.max_us);
+        for &(index, samples) in &other.buckets {
+            self.add(index, samples);
+        }
+    }
+
+    /// The samples recorded since `earlier`, an earlier snapshot of this
+    /// same histogram: a phase window is the difference of two cumulative
+    /// snapshots. Counts and sum are exact. The window's maximum is exact
+    /// when the window raised it; otherwise it is the upper edge of the
+    /// window's highest bucket, like any other percentile. (A snapshot that
+    /// is not an ancestor saturates towards empty instead of panicking.)
+    pub fn since(&self, earlier: &DurationHistogram) -> DurationHistogram {
+        let mut buckets = self.buckets.clone();
+        for &(index, samples) in &earlier.buckets {
+            if let Ok(at) = buckets.binary_search_by_key(&index, |b| b.0) {
+                buckets[at].1 = buckets[at].1.saturating_sub(samples);
+            }
+        }
+        buckets.retain(|b| b.1 > 0);
+        let max_us = if self.max_us > earlier.max_us {
+            self.max_us
+        } else {
+            buckets.last().map_or(0, |&(index, _)| {
+                log_bucket_upper(index, Self::SUB_BITS).min(self.max_us)
+            })
+        };
+        DurationHistogram {
+            count: buckets.iter().map(|b| b.1).sum(),
+            sum_us: self.sum_us.saturating_sub(earlier.sum_us),
+            max_us,
+            buckets,
+        }
+    }
+}
+
 /// Statistics for one measurement interval.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct IntervalStats {
@@ -101,16 +262,23 @@ impl IntervalStats {
     }
 }
 
-/// Rolling engine metrics: closed intervals plus the one being filled.
+/// Rolling engine metrics: the most recent closed intervals plus the one
+/// being filled.
 #[derive(Debug, Clone)]
 pub struct EngineMetrics {
     /// Length of each measurement interval.
     pub interval: SimDuration,
+    /// The last [`Self::RETAINED`] closed intervals, oldest first.
     closed: Vec<IntervalStats>,
     current: IntervalStats,
 }
 
 impl EngineMetrics {
+    /// Closed intervals kept. The feedback controllers read the last two
+    /// throughputs and the last three utilizations; nothing reads further
+    /// back, and a run of any length must hold flat memory.
+    pub const RETAINED: usize = 8;
+
     /// New metrics with the given interval length.
     pub fn new(interval: SimDuration) -> Self {
         EngineMetrics {
@@ -144,6 +312,9 @@ impl EngineMetrics {
     pub fn maybe_roll(&mut self, now: SimTime) {
         while now.since(self.current.start) >= self.interval {
             let next_start = self.current.start + self.interval;
+            if self.closed.len() == Self::RETAINED {
+                self.closed.remove(0);
+            }
             self.closed.push(self.current);
             self.current = IntervalStats {
                 start: next_start,
@@ -152,7 +323,8 @@ impl EngineMetrics {
         }
     }
 
-    /// All closed intervals, oldest first.
+    /// The retained closed intervals (at most [`Self::RETAINED`]), oldest
+    /// first.
     pub fn intervals(&self) -> &[IntervalStats] {
         &self.closed
     }
@@ -207,6 +379,71 @@ mod tests {
     }
 
     #[test]
+    fn log_buckets_tile_the_integers_in_order() {
+        for sub_bits in [2, 7] {
+            // Small values get a bucket each; above that a bucket's upper
+            // edge is where the next bucket starts, at every octave seam.
+            let mut value = 0u64;
+            let mut index = 0u32;
+            while value < 1 << 40 {
+                assert_eq!(log_bucket(value, sub_bits), index, "value {value}");
+                let upper = log_bucket_upper(index, sub_bits);
+                assert_eq!(log_bucket(upper, sub_bits), index, "upper edge {upper}");
+                assert!(upper - value <= value >> sub_bits, "width at {value}");
+                value = upper + 1;
+                index += 1;
+            }
+        }
+        assert_eq!(log_bucket_upper(log_bucket(u64::MAX, 7), 7), u64::MAX);
+    }
+
+    #[test]
+    fn histogram_percentiles_are_upper_edges_clamped_to_the_max() {
+        let mut h = DurationHistogram::default();
+        assert_eq!(h.summary(), SummaryStats::default());
+        assert_eq!(h.percentile_us(50.0), 0);
+        // Below 256 µs every value has its own bucket: exact.
+        for us in [30, 10, 20, 40] {
+            h.record(SimDuration(us));
+        }
+        assert_eq!(h.percentile_us(50.0), 20);
+        assert_eq!(h.percentile_us(75.0), 30);
+        assert_eq!(h.percentile_us(0.0), 10);
+        // 1 s falls in the bucket [999_424, 1_003_519].
+        h.record(SimDuration::from_secs(1));
+        assert_eq!(h.percentile_us(100.0), 1_000_000, "clamped to the max");
+        h.record(SimDuration::from_secs(2));
+        assert_eq!(h.percentile_us(80.0), 1_003_519, "the bucket's upper edge");
+        let s = h.summary();
+        assert_eq!((s.count, s.max), (6, 2.0));
+        assert!((s.mean - 3_000_100.0 / 6.0 / 1e6).abs() < 1e-12);
+    }
+
+    #[test]
+    fn histogram_window_is_the_difference_of_two_snapshots() {
+        let mut h = DurationHistogram::default();
+        h.record(SimDuration::from_millis(5));
+        h.record(SimDuration::from_secs(3));
+        let earlier = h.clone();
+        let mut window = DurationHistogram::default();
+        for ms in [7, 7, 900] {
+            h.record(SimDuration::from_millis(ms));
+            window.record(SimDuration::from_millis(ms));
+        }
+        let since = h.since(&earlier);
+        assert_eq!(since.count(), 3);
+        assert_eq!(since.sum_us(), 914_000);
+        assert_eq!(since.percentile_us(50.0), window.percentile_us(50.0));
+        // The window did not raise the maximum, so its own is known only
+        // to its bucket.
+        assert!(since.max_us() >= 900_000 && since.max_us() < 909_000);
+        let mut merged = earlier.clone();
+        merged.merge(&window);
+        assert_eq!(merged, h);
+        assert!(h.since(&h).is_empty());
+    }
+
+    #[test]
     fn intervals_roll_on_time() {
         let mut m = EngineMetrics::new(SimDuration::from_secs(1));
         m.record_completion(SimDuration::from_millis(100));
@@ -224,6 +461,24 @@ mod tests {
         m.maybe_roll(SimTime(3_500_000));
         assert_eq!(m.intervals().len(), 3);
         assert_eq!(m.intervals()[2].start, SimTime(2_000_000));
+    }
+
+    #[test]
+    fn a_long_roll_retains_a_constant_tail() {
+        let mut m = EngineMetrics::new(SimDuration::from_secs(1));
+        for second in 1..=100_000u64 {
+            for _ in 0..second % 7 {
+                m.record_completion(SimDuration::from_millis(1));
+            }
+            m.maybe_roll(SimTime(second * 1_000_000));
+            assert_eq!(
+                m.intervals().len(),
+                (second as usize).min(EngineMetrics::RETAINED)
+            );
+        }
+        assert_eq!(m.intervals().last().unwrap().start, SimTime(99_999_000_000));
+        assert_eq!(m.last_throughput(), (100_000 % 7) as f64);
+        assert_eq!(m.prev_throughput(), (99_999 % 7) as f64);
     }
 
     #[test]

@@ -164,7 +164,7 @@ impl Operator {
 
 /// SQL statement classes, as used for workload identification ("what" the
 /// request is) by DB2 work classes and Teradata classification criteria.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum StatementType {
     /// Read-only query (SELECT).
     Read,

@@ -453,8 +453,8 @@ impl Facility for TeradataAsm {
 }
 
 /// The Teradata workload analyzer: recommends candidate workload
-/// definitions by analyzing DBQL data — grouping logged queries along the
-/// dimensions application × statement class × processing-time band, and
+/// definitions by analyzing DBQL data — grouping the log's weighted query
+/// templates along the dimensions application × processing-time band, and
 /// supporting merge/split refinement of the candidates.
 #[derive(Debug, Clone, Default)]
 pub struct WorkloadAnalyzer {
@@ -493,26 +493,31 @@ impl WorkloadAnalyzer {
             .unwrap_or(self.time_bands.len())
     }
 
-    /// Recommend candidate workload definitions from a query log.
+    /// Recommend candidate workload definitions from a query log. The log
+    /// holds weighted templates, each within a quarter octave of true work,
+    /// so a template is banded as a whole by its mean work.
     pub fn recommend(&self, log: &QueryLog) -> Vec<CandidateWorkload> {
         use std::collections::BTreeMap;
-        let mut groups: BTreeMap<(String, usize), Vec<f64>> = BTreeMap::new();
-        for e in log.entries() {
-            let band = self.band_of(e.true_work_us as f64 / 1e6);
-            groups
-                .entry((e.origin.application.clone(), band))
-                .or_default()
-                .push(e.response.as_secs_f64());
+        let mut groups: BTreeMap<(&str, usize), (u64, u64)> = BTreeMap::new();
+        for t in log.templates() {
+            let band = self.band_of(t.mean_work_secs());
+            let (support, response_sum_us) = groups
+                .entry((t.representative.origin.application.as_str(), band))
+                .or_default();
+            *support += t.weight;
+            *response_sum_us += t.response_sum_us;
         }
         groups
             .into_iter()
-            .map(|((application, band), responses)| CandidateWorkload {
-                name: format!("WD-{application}-band{band}"),
-                application,
-                band,
-                support: responses.len(),
-                mean_response_secs: responses.iter().sum::<f64>() / responses.len() as f64,
-            })
+            .map(
+                |((application, band), (support, response_sum_us))| CandidateWorkload {
+                    name: format!("WD-{application}-band{band}"),
+                    application: application.to_string(),
+                    band,
+                    support: support as usize,
+                    mean_response_secs: response_sum_us as f64 / support as f64 / 1e6,
+                },
+            )
             .collect()
     }
 

@@ -32,4 +32,4 @@ pub use generators::{
 pub use mix::MixedSource;
 pub use request::{Importance, Origin, Request, RequestId};
 pub use sla::{PerformanceObjective, ServiceLevelAgreement, SlaEvaluation};
-pub use trace::{QueryLog, QueryLogEntry};
+pub use trace::{CompletedQuery, QueryLog, QueryLogEntry, QueryTemplate};

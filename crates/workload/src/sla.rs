@@ -9,7 +9,7 @@
 //! against measured samples.
 
 use serde::{Deserialize, Serialize};
-use wlm_dbsim::metrics::{percentile, summarize};
+use wlm_dbsim::metrics::DurationHistogram;
 
 /// One performance objective.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -105,59 +105,54 @@ impl ServiceLevelAgreement {
 
     /// Evaluate the SLA against measurements.
     ///
-    /// * `responses_secs` — response-time samples (arrival to completion);
-    /// * `velocities` — per-request execution velocities, if velocity goals
-    ///   are present (may be empty otherwise);
+    /// * `responses` — response times (arrival to completion); percentile
+    ///   goals are judged at the histogram's resolution, which reads at
+    ///   most 1 % above the exact sample and never below it;
+    /// * `mean_velocity` — mean per-request execution velocity, `None`
+    ///   when nothing was measured (a velocity goal is then not met);
     /// * `elapsed_secs` — measurement-window length, for throughput goals.
     pub fn evaluate(
         &self,
-        responses_secs: &[f64],
-        velocities: &[f64],
+        responses: &DurationHistogram,
+        mean_velocity: Option<f64>,
         elapsed_secs: f64,
     ) -> SlaEvaluation {
-        let mut sorted = responses_secs.to_vec();
-        sorted.sort_by(|a, b| a.total_cmp(b));
-        let summary = summarize(responses_secs);
-        let mut results = Vec::with_capacity(self.objectives.len());
-        for obj in &self.objectives {
-            let (met, measured) = match *obj {
-                PerformanceObjective::AvgResponseTime { target_secs } => {
-                    let measured = summary.mean;
-                    (
-                        !responses_secs.is_empty() && measured <= target_secs,
-                        measured,
-                    )
-                }
-                PerformanceObjective::Percentile {
-                    percent,
-                    target_secs,
-                } => {
-                    let measured = percentile(&sorted, percent);
-                    (!sorted.is_empty() && measured <= target_secs, measured)
-                }
-                PerformanceObjective::Velocity { min_velocity } => {
-                    if velocities.is_empty() {
-                        (false, 0.0)
-                    } else {
-                        let mean = velocities.iter().sum::<f64>() / velocities.len() as f64;
-                        (mean >= min_velocity, mean)
+        let results = self
+            .objectives
+            .iter()
+            .map(|obj| {
+                let (met, measured) = match *obj {
+                    PerformanceObjective::AvgResponseTime { target_secs } => {
+                        let measured = responses.mean_secs();
+                        (!responses.is_empty() && measured <= target_secs, measured)
                     }
+                    PerformanceObjective::Percentile {
+                        percent,
+                        target_secs,
+                    } => {
+                        let measured = responses.percentile_secs(percent);
+                        (!responses.is_empty() && measured <= target_secs, measured)
+                    }
+                    PerformanceObjective::Velocity { min_velocity } => {
+                        let mean = mean_velocity.unwrap_or(0.0);
+                        (mean_velocity.is_some() && mean >= min_velocity, mean)
+                    }
+                    PerformanceObjective::Throughput { min_per_sec } => {
+                        let measured = if elapsed_secs > 0.0 {
+                            responses.count() as f64 / elapsed_secs
+                        } else {
+                            0.0
+                        };
+                        (measured >= min_per_sec, measured)
+                    }
+                };
+                ObjectiveResult {
+                    objective: *obj,
+                    met,
+                    measured,
                 }
-                PerformanceObjective::Throughput { min_per_sec } => {
-                    let measured = if elapsed_secs > 0.0 {
-                        responses_secs.len() as f64 / elapsed_secs
-                    } else {
-                        0.0
-                    };
-                    (measured >= min_per_sec, measured)
-                }
-            };
-            results.push(ObjectiveResult {
-                objective: *obj,
-                met,
-                measured,
-            });
-        }
+            })
+            .collect();
         SlaEvaluation { results }
     }
 }
@@ -203,23 +198,32 @@ pub fn velocity(expected_exec_secs: f64, actual_total_secs: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wlm_dbsim::time::SimDuration;
+
+    fn responses(secs: &[f64]) -> DurationHistogram {
+        let mut h = DurationHistogram::default();
+        for s in secs {
+            h.record(SimDuration::from_secs_f64(*s));
+        }
+        h
+    }
 
     #[test]
     fn avg_response_objective() {
         let sla = ServiceLevelAgreement::avg_response(1.0);
-        assert!(sla.evaluate(&[0.5, 0.9, 1.1], &[], 10.0).met());
-        assert!(!sla.evaluate(&[2.0, 2.0], &[], 10.0).met());
+        assert!(sla.evaluate(&responses(&[0.5, 0.9, 1.1]), None, 10.0).met());
+        assert!(!sla.evaluate(&responses(&[2.0, 2.0]), None, 10.0).met());
         // No samples: a goal with nothing measured is not met.
-        assert!(!sla.evaluate(&[], &[], 10.0).met());
+        assert!(!sla.evaluate(&responses(&[]), None, 10.0).met());
     }
 
     #[test]
     fn percentile_objective() {
         let sla = ServiceLevelAgreement::percentile(90.0, 1.0);
         let mostly_fast: Vec<f64> = (0..100).map(|i| if i < 95 { 0.5 } else { 5.0 }).collect();
-        assert!(sla.evaluate(&mostly_fast, &[], 10.0).met());
+        assert!(sla.evaluate(&responses(&mostly_fast), None, 10.0).met());
         let mostly_slow: Vec<f64> = (0..100).map(|i| if i < 50 { 0.5 } else { 5.0 }).collect();
-        assert!(!sla.evaluate(&mostly_slow, &[], 10.0).met());
+        assert!(!sla.evaluate(&responses(&mostly_slow), None, 10.0).met());
     }
 
     #[test]
@@ -228,9 +232,10 @@ mod tests {
         assert_eq!(velocity(2.0, 1.0), 1.0, "clamped at 1");
         assert_eq!(velocity(1.0, 0.0), 1.0);
         let sla = ServiceLevelAgreement::velocity(0.5);
-        assert!(sla.evaluate(&[], &[0.6, 0.7], 1.0).met());
-        assert!(!sla.evaluate(&[], &[0.1, 0.2], 1.0).met());
-        assert!(!sla.evaluate(&[], &[], 1.0).met());
+        let none = responses(&[]);
+        assert!(sla.evaluate(&none, Some(0.65), 1.0).met());
+        assert!(!sla.evaluate(&none, Some(0.15), 1.0).met());
+        assert!(!sla.evaluate(&none, None, 1.0).met());
     }
 
     #[test]
@@ -238,16 +243,16 @@ mod tests {
         let sla = ServiceLevelAgreement {
             objectives: vec![PerformanceObjective::Throughput { min_per_sec: 2.0 }],
         };
-        let thirty = vec![0.1; 30];
-        assert!(sla.evaluate(&thirty, &[], 10.0).met());
-        assert!(!sla.evaluate(&thirty, &[], 100.0).met());
+        let thirty = responses(&[0.1; 30]);
+        assert!(sla.evaluate(&thirty, None, 10.0).met());
+        assert!(!sla.evaluate(&thirty, None, 100.0).met());
     }
 
     #[test]
     fn best_effort_is_vacuously_met() {
         let sla = ServiceLevelAgreement::best_effort();
         assert!(!sla.has_goals());
-        assert!(sla.evaluate(&[], &[], 0.0).met());
+        assert!(sla.evaluate(&responses(&[]), None, 0.0).met());
     }
 
     #[test]
@@ -258,7 +263,7 @@ mod tests {
                 PerformanceObjective::Throughput { min_per_sec: 100.0 },
             ],
         };
-        let eval = sla.evaluate(&[0.1, 0.1], &[], 10.0);
+        let eval = sla.evaluate(&responses(&[0.1, 0.1]), None, 10.0);
         assert!(eval.results[0].met);
         assert!(!eval.results[1].met);
         assert!(!eval.met());

@@ -74,6 +74,10 @@ fn main() {
     controller.connect_bus(&mut mgr);
     let plans = wlm::core::events::RingRecorder::new(4_096);
     mgr.subscribe(Box::new(plans.clone()));
+    // The manager's books keep histograms, not samples; the steady-state
+    // window below reads individual completions off the bus instead.
+    let completions = wlm::core::events::RingRecorder::of_kind("completed", 1 << 14);
+    mgr.subscribe(Box::new(completions.clone()));
     let decisions = controller.decisions();
     mgr.add_exec_controller(Box::new(controller));
 
@@ -114,13 +118,20 @@ fn main() {
         if oltp.sla.met() { "MET" } else { "MISSED" }
     );
     // Steady state after the loop has dealt with the shift: the last 60s.
-    let cutoff = SimDuration::from_secs(180);
-    let mut tail: Vec<f64> = mgr
-        .query_log()
-        .entries()
+    let mut tail: Vec<f64> = completions
+        .events()
         .iter()
-        .filter(|e| e.label == "oltp" && e.arrival.as_micros() > cutoff.as_micros())
-        .map(|e| e.response.as_secs_f64())
+        .filter_map(|e| match e {
+            wlm::core::events::WlmEvent::Completed {
+                at,
+                workload,
+                response_secs,
+                ..
+            } if workload == "oltp" && at.as_secs_f64() - response_secs > 180.0 => {
+                Some(*response_secs)
+            }
+            _ => None,
+        })
         .collect();
     tail.sort_by(|a, b| a.total_cmp(b));
     let p95 = wlm::dbsim::metrics::percentile(&tail, 95.0);

@@ -12,6 +12,7 @@ use wlm::core::manager::{ControllerState, RecoveryReport, WorkloadManager, CHECK
 use wlm::core::policy::WorkloadPolicy;
 use wlm::core::resilience::{QuarantineConfig, ResilienceConfig, RetryPolicy};
 use wlm::core::scheduling::PriorityScheduler;
+use wlm::core::stats::WorkloadStats;
 use wlm::dbsim::engine::EngineConfig;
 use wlm::dbsim::optimizer::CostModel;
 use wlm::dbsim::time::{SimDuration, SimTime};
@@ -85,15 +86,87 @@ fn checkpoints_are_byte_deterministic_and_version_gated() {
     let rt = ControllerState::from_bytes(&a.to_bytes()).expect("own bytes parse");
     assert_eq!(rt.to_bytes(), a.to_bytes());
 
-    // A future version must be rejected, not misread.
-    let mut tampered = a.clone();
-    tampered.version = CHECKPOINT_VERSION + 1;
-    let err = ControllerState::from_bytes(&tampered.to_bytes()).unwrap_err();
-    assert!(
-        matches!(&err, wlm::core::Error::Checkpoint(reason) if reason.contains("version")),
-        "got: {err}"
-    );
+    // A future version must be rejected, not misread — and so must
+    // version 1, whose books held per-request samples and log entries.
+    for version in [CHECKPOINT_VERSION + 1, 1] {
+        let mut tampered = a.clone();
+        tampered.version = version;
+        let err = ControllerState::from_bytes(&tampered.to_bytes()).unwrap_err();
+        assert!(
+            matches!(&err, wlm::core::Error::Checkpoint(reason) if reason.contains("version")),
+            "version {version} got: {err}"
+        );
+    }
     assert!(ControllerState::from_bytes(b"not json").is_err());
+}
+
+/// Run `src` until cycle `ticks`, then cut the arrivals and let everything
+/// in flight finish, so that the checkpoint holds no request, only books.
+/// Returns (checkpoint bytes, serialised report bytes, completions).
+fn sizes_once_drained(
+    mgr: &mut WorkloadManager,
+    src: &mut dyn Source,
+    ticks: u64,
+) -> (usize, usize, u64) {
+    while mgr.cycle() < ticks {
+        mgr.tick(src);
+    }
+    let mut no_arrivals = MixedSource::new();
+    while mgr.engine().mpl() > 0
+        || mgr.queued() + mgr.deferred() + mgr.suspended_count() > 0
+        || mgr
+            .resilience_report()
+            .is_some_and(|r| r.pending_retries > 0)
+    {
+        mgr.tick(&mut no_arrivals);
+    }
+    let report = mgr.report();
+    let json = serde_json::to_string(&report).expect("report serializes");
+    (mgr.checkpoint_bytes().1.len(), json.len(), report.completed)
+}
+
+#[test]
+fn checkpoint_and_report_sizes_are_flat_in_run_length() {
+    // The books are histograms and weighted templates: ten times the
+    // requests served must not be ten times the bytes (it was, at ≈ 245
+    // bytes a request, when every response sample and query-log entry
+    // rode along). Under steady OLTP the books have their shape within
+    // 2 000 ticks and stay within a quarter of that size.
+    let mut mgr = manager();
+    let mut oltp = OltpSource::new(200.0, 42);
+    let early = sizes_once_drained(&mut mgr, &mut oltp, 2_000);
+    let late = sizes_once_drained(&mut mgr, &mut oltp, 20_000);
+    assert!(late.2 > early.2 * 9, "{} -> {} requests", early.2, late.2);
+    assert!(
+        late.0 * 4 <= early.0 * 5,
+        "checkpoint grew from {} to {} bytes",
+        early.0,
+        late.0
+    );
+    assert!(
+        late.1 * 4 <= early.1 * 5,
+        "report grew from {} to {} bytes",
+        early.1,
+        late.1
+    );
+
+    // A trickle of heavy-tailed BI keeps finding new work bands and
+    // histogram buckets for thousands of requests — growth in the variety
+    // seen, capped, and under 8 bytes a request where it was 245.
+    let mut mgr = manager();
+    let mut mixed = mix(42);
+    let early = sizes_once_drained(&mut mgr, &mut mixed, 2_000);
+    let late = sizes_once_drained(&mut mgr, &mut mixed, 20_000);
+    let requests = (late.2 - early.2) as usize;
+    assert!(requests > 4_000, "{requests} requests in between");
+    assert!(
+        late.0 < early.0 + 8 * requests && late.1 < early.1 + 8 * requests,
+        "{requests} requests grew the checkpoint {} -> {} and the report {} -> {} bytes",
+        early.0,
+        late.0,
+        early.1,
+        late.1
+    );
 }
 
 #[test]
@@ -126,18 +199,13 @@ fn future_version_restore_fails_typed_and_the_manager_keeps_serving() {
     );
 }
 
-/// The history fingerprint compared across runs: every counter and every
-/// individual response time.
-type Fingerprint = (u64, u64, u64, Vec<f64>, Vec<f64>);
+/// The history fingerprint compared across runs: every counter and the
+/// per-workload books (response histogram, velocity sum, outcome counts).
+type Fingerprint = (u64, u64, u64, Option<WorkloadStats>, Option<WorkloadStats>);
 
 fn fingerprint(mgr: &WorkloadManager) -> Fingerprint {
     let report = mgr.report();
-    let grab = |name: &str| {
-        report
-            .workload(name)
-            .map(|w| w.stats.responses_secs.clone())
-            .unwrap_or_default()
-    };
+    let grab = |name: &str| report.workload(name).map(|w| w.stats.clone());
     (
         report.completed,
         report.killed,

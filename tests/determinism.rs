@@ -4,12 +4,13 @@
 use wlm::core::api::WlmBuilder;
 use wlm::core::scheduling::RankScheduler;
 use wlm::dbsim::engine::EngineConfig;
+use wlm::dbsim::metrics::DurationHistogram;
 use wlm::dbsim::optimizer::CostModel;
 use wlm::dbsim::time::SimDuration;
 use wlm::workload::generators::{BiSource, OltpSource};
 use wlm::workload::mix::MixedSource;
 
-fn run_once(seed: u64) -> (u64, u64, Vec<f64>) {
+fn run_once(seed: u64) -> (u64, u64, DurationHistogram) {
     let mut mgr = WlmBuilder::new()
         .engine(EngineConfig {
             cores: 4,
@@ -26,7 +27,7 @@ fn run_once(seed: u64) -> (u64, u64, Vec<f64>) {
     let report = mgr.run(&mut mix, SimDuration::from_secs(45));
     let oltp_responses = report
         .workload("oltp")
-        .map(|w| w.stats.responses_secs.clone())
+        .map(|w| w.stats.responses.clone())
         .unwrap_or_default();
     (report.completed, report.killed, oltp_responses)
 }
@@ -37,7 +38,10 @@ fn same_seed_same_history() {
     let b = run_once(42);
     assert_eq!(a.0, b.0, "completion counts must match");
     assert_eq!(a.1, b.1);
-    assert_eq!(a.2, b.2, "every response time must match bit-for-bit");
+    assert_eq!(
+        a.2, b.2,
+        "the response histogram must match bucket for bucket"
+    );
 }
 
 #[test]
